@@ -162,6 +162,37 @@ class TestCampaignMetrics:
                    for record in records)
 
 
+class TestSpeculateWatchdog:
+    OOB_AFTER_PRINTF = ("#include <stdio.h>\n"
+                        "#include <stdlib.h>\n"
+                        "int main(void) {\n"
+                        "    int *a = malloc(4 * sizeof(int));\n"
+                        "    printf(\"%d\\n\", 4);\n"
+                        "    a[4] = 1;\n"
+                        "    return 0;\n"
+                        "}\n")
+
+    def test_speculate_after_printf_fits_default_watchdog(self, tmp_path):
+        # `hunt --speculate --jit 3 oob.c`: each fresh worker builds the
+        # safe-O2 clone of printf's core on first use, and that must fit
+        # the default 10 s watchdog with room to find the bug.
+        (tmp_path / "oob.c").write_text(self.OOB_AFTER_PRINTF)
+        records = []
+        summary = run_campaign(
+            collect_programs([str(tmp_path / "oob.c")]),
+            options={"speculate": True, "jit_threshold": 3},
+            report_path=str(tmp_path / "report.jsonl"),
+            progress=lambda done, total, record: records.append(record))
+        assert summary["triage"]["bug"] == 1
+        [record] = records
+        assert record["triage"] == "bug"
+        assert record["rung"] == "as-requested"
+        assert record["attempts"] == 1
+        [signature] = record["signatures"]
+        assert signature.startswith("out-of-bounds@")
+        assert "oob.c:6:" in signature
+
+
 @pytest.mark.selftest
 def test_harness_selftest_smoke():
     """The `repro hunt --selftest` path: a tiny corpus exercising clean

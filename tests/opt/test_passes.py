@@ -5,6 +5,7 @@ import pytest
 
 from repro import ir
 from repro.cfront import compile_source
+from repro.ir.parser import parse_module
 from repro.native import compile_native, run_native
 from repro.opt import (backendfold, constfold, dce, deadstore, loopdelete,
                        mem2reg, simplifycfg)
@@ -80,6 +81,37 @@ class TestMem2Reg:
                    if isinstance(i, ir.Alloca)]
         assert allocas  # x escapes, must stay in memory
         assert run_with_status(module) == 6
+
+    def test_store_laid_out_before_its_defining_load(self):
+        # b1 stores %t, but %t's load sits in b2, which runs first and
+        # comes later in the block list.  The stored value must resolve
+        # through the promoted load, not linger in b3's phi.
+        module = parse_module("""
+            define i32 @main() {
+            entry:
+              %x.addr = alloca i32
+              %y.addr = alloca i32
+              store i32 5, i32* %x.addr
+              br label %b2
+            b1:
+              store i32 %t, i32* %y.addr
+              br label %b3
+            b2:
+              %t = load i32, i32* %x.addr
+              br label %b1
+            b3:
+              %r = load i32, i32* %y.addr
+              ret i32 %r
+            }
+        """)
+        main = module.functions["main"]
+        ir.validate_function(main)
+        assert mem2reg.run(main)
+        ir.validate_function(main)
+        last = main.blocks[-1].instructions[-1]
+        assert isinstance(last, ir.Ret)
+        assert isinstance(last.value, ir.ConstInt) and last.value.value == 5
+        assert run_with_status(module) == 5
 
 
 class TestConstFold:

@@ -8,14 +8,30 @@ work, never an instruction whose execution is how an error gets found
 (loads, stores, geps, calls, division).
 """
 
+import hashlib
+import json
+import os
+import re
+import time
+
 import pytest
 
+from repro import ir
+from repro.bench.harness import PROGRAMS, program_source
 from repro.cfront import compile_source
 from repro.core.engine import SafeSulong
+from repro.corpus import ENTRIES
+from repro.gen import GenConfig, generate
 from repro.ir import instructions as inst
+from repro.ir.printer import print_function
+from repro.libc import libc_module
+from repro.obs.slices import _stable_label
 from repro.opt import gvn, licm, mem2reg
 from repro.opt.pipeline import (optimized_clone, run_safe_o2,
                                 run_safe_o2_function)
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden_safe_o2.json")
 
 
 def _main(source):
@@ -215,3 +231,87 @@ class TestPipeline:
         spec = SafeSulong(speculate=True).run_source(source)
         assert plain.status == spec.status
         assert plain.stdout == spec.stdout
+
+    def test_mem2reg_cost_on_scanf_core(self):
+        # libc's scanf core (1,055 instructions, 191 blocks, 64 allocas)
+        # gets about 11k maximal phis.  A pass that rescans the function
+        # per promoted load or removed phi takes close to a minute on
+        # it; the substitution-map pass takes a small fraction of a
+        # second.
+        scan_core = next(
+            function for name, function in libc_module().functions.items()
+            if name.startswith("__scan_core.static."))
+        clone = ir.clone_function(scan_core)
+        started = time.perf_counter()
+        assert mem2reg.run(clone)
+        assert time.perf_counter() - started < 2.0
+        ir.validate_function(clone)
+
+
+class TestGolden:
+    """One SHA-256 per defined function of libc, the shootout programs,
+    the bug corpus and a fixed gen sample, over the printed safe-O2
+    clone.  Any change to what the optimized tier executes shows up
+    here.  Regenerate after an intentional change with
+    ``REPRO_UPDATE_GOLDEN=1 pytest tests/opt/test_safe_o2.py``."""
+
+    _GLOBAL_NAME = re.compile(r"@([\w.$]+)")
+    _ANON_STRUCT = re.compile(r"%anon\.\d+")
+    _LOC_DIR = re.compile(r"; [^;\n]*/(?=[^/;\n]+:\d)")
+
+    @classmethod
+    def _stable_ir(cls, function):
+        """The clone's printed IR minus what depends on compile order
+        or checkout location: the front end's process-wide name
+        counters and the directories of source locations."""
+        text = print_function(optimized_clone(function))
+        text = cls._GLOBAL_NAME.sub(
+            lambda match: "@" + _stable_label(match.group(1)), text)
+        text = cls._ANON_STRUCT.sub("%anon", text)
+        return cls._LOC_DIR.sub("; ", text)
+
+    @staticmethod
+    def _pinned_functions():
+        libc = libc_module()
+        for function in libc.functions.values():
+            if function.is_definition:
+                yield "libc/" + _stable_label(function.name), function
+        programs = [(f"shootout/{name}", program_source(name))
+                    for name in PROGRAMS]
+        programs += [(f"corpus/{entry.name}", entry.source())
+                     for entry in ENTRIES]
+        programs += [(f"gen/{plant}/{seed}",
+                      generate(seed, GenConfig(plant=plant)).source)
+                     for plant in ("none", "spatial", "temporal")
+                     for seed in range(30)]
+        engine = SafeSulong()
+        for prefix, source in programs:
+            module = engine.compile(
+                source, filename=prefix.replace("/", "-") + ".c")
+            for function in module.functions.values():
+                if function.is_definition \
+                        and libc.functions.get(function.name) is not function:
+                    yield f"{prefix}/{_stable_label(function.name)}", \
+                        function
+
+    def test_safe_o2_output_matches_golden_file(self):
+        digests, failed = {}, []
+        for key, function in self._pinned_functions():
+            assert key not in digests, key
+            digests[key] = hashlib.sha256(
+                self._stable_ir(function).encode()).hexdigest()
+            if getattr(function, "_safe_o2_error", None):
+                failed.append(key)
+        assert failed == []
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+                json.dump(digests, handle, sort_keys=True, indent=1)
+                handle.write("\n")
+        with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
+            want = json.load(handle)
+        drifted = sorted(key for key in want.keys() | digests.keys()
+                         if want.get(key) != digests.get(key))
+        assert not drifted, (
+            f"safe-O2 output drifted for {len(drifted)} functions "
+            f"(first: {drifted[:5]}); if the change is intentional, "
+            "regenerate with REPRO_UPDATE_GOLDEN=1")
