@@ -50,6 +50,7 @@ import argparse
 import base64
 import sys
 
+from .core.config import EngineConfig
 from .tools import all_runners
 
 
@@ -116,21 +117,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown tool {args.tool!r}; choose from "
               f"{', '.join(all_runners())}", file=sys.stderr)
         return 2
-    options = {}
-    if args.tool == "safe-sulong":
-        options = {"elide_checks": args.elide,
-                   "speculate": args.speculate,
-                   "max_heap_bytes": args.heap_quota,
-                   "use_cache": not args.no_cache,
-                   "cache_dir": args.cache_dir,
-                   "track_heap": bool(args.heap_dump)}
-    elif args.elide or args.speculate or args.heap_quota:
+    options = EngineConfig.from_args(args).to_json()
+    if args.tool != "safe-sulong" and (
+            args.elide_checks or args.speculate or args.max_heap_bytes):
         print(f"warning: --elide/--speculate/--heap-quota have no "
               f"effect with --tool {args.tool}", file=sys.stderr)
     if args.metrics and args.tool != "safe-sulong":
         print(f"warning: --metrics observes the safe-sulong engine "
               f"only, not --tool {args.tool}", file=sys.stderr)
-    if args.heap_dump and args.tool != "safe-sulong":
+    if args.track_heap and args.tool != "safe-sulong":
         print(f"warning: --heap-dump needs the managed heap; it has no "
               f"effect with --tool {args.tool}", file=sys.stderr)
     source = _read_source(args.program)
@@ -160,7 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # program in one watchdogged harness worker.
         from .harness.pool import run_one
         from .harness.worker import deserialize_result
-        if args.heap_dump:
+        if args.track_heap:
             print("warning: --heap-dump is unavailable with --timeout "
                   "(the heap dies with the worker process)",
                   file=sys.stderr)
@@ -227,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                        observer.snapshot() if observer else None,
                        args.tool)
     return _report_result(result, runner.name,
-                          heap_dump=bool(args.heap_dump))
+                          heap_dump=args.track_heap)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -240,12 +235,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return 2
     stdin = sys.stdin.buffer.read() if args.stdin else b""
     # --jit 0 disables the dynamic tier; omitted means the default.
-    jit = DEFAULT_JIT_THRESHOLD if args.jit is None else (args.jit or None)
+    jit = DEFAULT_JIT_THRESHOLD if args.jit_threshold is None \
+        else (args.jit_threshold or None)
+    config = EngineConfig.from_args(args)._replace(jit_threshold=jit)
     # --flamegraph needs the call-edge data only lines mode records;
     # --hot-checks needs the per-line check counters from the same mode.
     lines = bool(args.lines or args.flamegraph or args.hot_checks)
     from .cache import resolve_cache
-    cache = resolve_cache(args.cache_dir, enabled=not args.no_cache)
+    cache = resolve_cache(config.cache_dir, enabled=config.use_cache)
     recorder = previous = None
     if args.trace_spans:
         from .obs.spans import SpanRecorder, set_recorder
@@ -253,12 +250,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         previous = set_recorder(recorder)
     try:
         result, snapshot = profile_source(
-            source, filename=args.program,
+            source, config, filename=args.program,
             argv=[args.program, *args.args], stdin=stdin,
-            jit_threshold=jit, elide_checks=args.elide,
             max_steps=args.max_steps, trace_path=args.trace,
-            cache=cache, lines=lines,
-            track_heap=bool(args.heap_dump))
+            cache=cache, lines=lines)
     except Exception as error:  # compile/link failure
         print(f"profile failed: {error}", file=sys.stderr)
         return 2
@@ -287,7 +282,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             if bug.stack or bug.alloc_site or bug.free_site:
                 print(render_bug_report(bug, detector="safe-sulong"),
                       file=sys.stderr)
-    if args.heap_dump and result.runtime is not None:
+    if args.track_heap and result.runtime is not None:
         from .obs.provenance import render_heap_dump
         print(render_heap_dump(result.runtime))
     if args.flamegraph:
@@ -350,18 +345,11 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     if not programs:
         print("hunt: no .c programs found", file=sys.stderr)
         return 2
-    quotas = Quotas(max_steps=args.max_steps,
-                    max_heap_bytes=args.heap_quota,
-                    max_call_depth=args.call_depth,
-                    max_output_bytes=args.output_cap)
-    options = {"jit_threshold": args.jit, "elide_checks": args.elide,
-               "speculate": args.speculate,
-               "use_cache": not args.no_cache,
-               "cache_dir": args.cache_dir,
-               "prescreen": args.prescreen}
     try:
         summary = run_campaign(
-            programs, tool=args.tool, options=options, quotas=quotas,
+            programs, tool=args.tool,
+            options=EngineConfig.from_args(args).to_json(),
+            quotas=Quotas(max_steps=args.max_steps),
             jobs=args.jobs, timeout=args.timeout, retries=args.retries,
             backoff=args.backoff, ladder=not args.no_ladder,
             faults_spec=args.faults, report_path=args.report,
@@ -775,17 +763,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    quotas = Quotas(max_steps=args.max_steps,
-                    max_heap_bytes=args.heap_quota,
-                    max_output_bytes=args.output_cap)
-    options = {"jit_threshold": args.jit, "elide_checks": args.elide,
-               "speculate": args.speculate,
-               "use_cache": not args.no_cache,
-               "cache_dir": args.cache_dir}
     return serve(
         args.state_dir, host=args.host, port=args.port,
-        verbose=not args.quiet, tool=args.tool, options=options,
-        quotas=quotas, jobs=args.jobs, timeout=args.timeout,
+        verbose=not args.quiet, tool=args.tool,
+        options=EngineConfig.from_args(args).to_json(),
+        quotas=Quotas(max_steps=args.max_steps), jobs=args.jobs,
+        timeout=args.timeout,
         retries=args.retries, max_depth=args.max_depth,
         degrade_depth=args.degrade_depth, lease_ttl=args.lease_ttl,
         cache_cap_bytes=args.cache_cap, fault_plan=fault_plan)
@@ -801,7 +784,57 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
                              "disables it)")
 
 
-def main(argv: list[str] | None = None) -> int:
+# The engine flags subcommands share: flag -> (dest, metavar, help).
+# Each stores under the EngineConfig field it feeds (--max-steps: the
+# per-run step budget) for from_args; a None metavar marks a switch.
+_ENGINE_FLAGS = {
+    "--max-steps": ("max_steps", "N", "interpreter step budget per run"),
+    "--heap-quota": ("max_heap_bytes", "BYTES",
+                     "live managed-heap budget per run (safe-sulong)"),
+    "--call-depth": ("max_call_depth", "FRAMES",
+                     "call-depth quota per run (default: the host stack)"),
+    "--output-cap": ("max_output_bytes", "BYTES", "program output budget"),
+    "--jit": ("jit_threshold", "THRESHOLD",
+              "enable the dynamic tier at N calls (safe-sulong)"),
+    "--elide": ("elide_checks", None,
+                "enable proven-safe check elision (safe-sulong)"),
+    "--speculate": ("speculate", None,
+                    "enable speculative check elision with deopt; implies "
+                    "--elide, and hunt and serve degrade it to --elide "
+                    "(safe-sulong)"),
+    "--heap-dump": ("track_heap", None,
+                    "print a bounded dump of heap objects with their "
+                    "allocation/free sites (run: on a bug; safe-sulong)"),
+    "--prescreen": ("prescreen", None,
+                    "lint each program and record the findings on its "
+                    "report record"),
+}
+# hunt and serve default to the harness budget (harness/quotas.py).
+_CAMPAIGN_DEFAULTS = {"--max-steps": 2_000_000,
+                      "--heap-quota": 64 * 1024 * 1024,
+                      "--output-cap": 1024 * 1024}
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser, *flags: str,
+                      campaign: bool = False,
+                      helps: dict | None = None) -> None:
+    """Declare the shared engine ``flags`` on one subcommand.
+    ``campaign`` takes the harness budget's defaults; ``helps`` rewords
+    a flag the subcommand gives its own meaning."""
+    for flag in flags:
+        dest, metavar, text = _ENGINE_FLAGS[flag]
+        kwargs = {"dest": dest, "help": (helps or {}).get(flag, text)}
+        if campaign and flag in _CAMPAIGN_DEFAULTS:
+            kwargs["default"] = _CAMPAIGN_DEFAULTS[flag]
+            kwargs["help"] += " (default %(default)s)"
+        if metavar:
+            kwargs.update(type=int, metavar=metavar)
+        else:
+            kwargs["action"] = "store_true"
+        parser.add_argument(flag, **kwargs)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Safe Sulong (ASPLOS'18) reproduction — find memory "
@@ -822,37 +855,18 @@ def main(argv: list[str] | None = None) -> int:
                                  "clang-O0, clang-O3")
     run_parser.add_argument("--stdin", action="store_true",
                             help="forward this process's stdin")
-    run_parser.add_argument("--max-steps", type=int, default=None,
-                            help="abort after N interpreter steps "
-                                 "(exit 5)")
     run_parser.add_argument("--timeout", type=float, default=None,
                             metavar="SECONDS",
                             help="wall-clock watchdog: run in an "
                                  "isolated worker process, kill it "
                                  "after SECONDS (exit 6)")
-    run_parser.add_argument("--heap-quota", type=int, default=None,
-                            metavar="BYTES",
-                            help="cap live heap bytes in the managed "
-                                 "allocator (exit 5; safe-sulong only)")
-    run_parser.add_argument("--elide", action="store_true",
-                            help="enable static check elision for the "
-                                 "safe-sulong tool (skips dynamic checks "
-                                 "the analysis proves redundant)")
-    run_parser.add_argument("--speculate", action="store_true",
-                            help="enable speculative check elision with "
-                                 "deopt (implies --elide; guarded "
-                                 "fast paths for hot loops, falling "
-                                 "back to full checks when a guard "
-                                 "trips; safe-sulong only)")
+    _add_engine_flags(run_parser, "--max-steps", "--heap-quota",
+                      "--elide", "--speculate", "--heap-dump")
     run_parser.add_argument("--metrics", default=None, metavar="PATH",
                             help="run under an enabled observer and "
                                  "write its snapshot (check/JIT/heap "
                                  "counters) as JSON to PATH (or - for "
                                  "stdout; safe-sulong only)")
-    run_parser.add_argument("--heap-dump", action="store_true",
-                            help="on a bug, also print a bounded dump "
-                                 "of heap objects with allocation/free "
-                                 "sites (safe-sulong only)")
     run_parser.add_argument("--trace-spans", default=None, metavar="PATH",
                             help="record compile/execute phase spans "
                                  "and write a Chrome trace_event JSON "
@@ -879,17 +893,10 @@ def main(argv: list[str] | None = None) -> int:
                "pressure.\n"
                "exit codes: 0 profile rendered (whatever the program's "
                "outcome), 2 compile/usage error")
-    profile_parser.add_argument("--jit", type=int,
-                                default=None, metavar="THRESHOLD",
-                                help="dynamic-tier threshold in calls "
-                                     "(default 3; pass 0 to disable "
-                                     "the JIT)")
-    profile_parser.add_argument("--elide", action="store_true",
-                                help="enable proven-safe check elision "
-                                     "(the elided columns then count "
-                                     "skipped checks)")
-    profile_parser.add_argument("--max-steps", type=int, default=None,
-                                help="abort after N interpreter steps")
+    _add_engine_flags(
+        profile_parser, "--jit", "--elide", "--max-steps", "--heap-dump",
+        helps={"--jit": "dynamic-tier threshold in calls (default 3; "
+                        "pass 0 to disable the JIT)"})
     profile_parser.add_argument("--stdin", action="store_true",
                                 help="forward this process's stdin")
     profile_parser.add_argument("--quiet", action="store_true",
@@ -919,10 +926,6 @@ def main(argv: list[str] | None = None) -> int:
                                      "fired/never-fired status — the "
                                      "exact evidence the speculative "
                                      "eliser consumes (implies --lines)")
-    profile_parser.add_argument("--heap-dump", action="store_true",
-                                help="print a bounded dump of heap "
-                                     "objects with allocation/free "
-                                     "sites after the run")
     profile_parser.add_argument("--trace-spans", default=None,
                                 metavar="PATH",
                                 help="write compile/execute phase spans "
@@ -958,22 +961,9 @@ def main(argv: list[str] | None = None) -> int:
                              metavar="SECONDS",
                              help="per-program wall-clock watchdog "
                                   "(default 10)")
-    hunt_parser.add_argument("--max-steps", type=int,
-                             default=2_000_000,
-                             help="interpreter step budget per program "
-                                  "(default 2000000)")
-    hunt_parser.add_argument("--heap-quota", type=int,
-                             default=64 * 1024 * 1024, metavar="BYTES",
-                             help="live managed-heap budget per program "
-                                  "(default 64 MiB)")
-    hunt_parser.add_argument("--call-depth", type=int, default=None,
-                             metavar="FRAMES",
-                             help="call-depth quota per program "
-                                  "(default: bounded by the host stack)")
-    hunt_parser.add_argument("--output-cap", type=int,
-                             default=1024 * 1024, metavar="BYTES",
-                             help="program output budget (default "
-                                  "1 MiB)")
+    _add_engine_flags(hunt_parser, "--max-steps", "--heap-quota",
+                      "--call-depth", "--output-cap", "--jit", "--elide",
+                      "--speculate", "--prescreen", campaign=True)
     hunt_parser.add_argument("--retries", type=int, default=2,
                              help="retries per rung for transient "
                                   "worker failures (default 2)")
@@ -985,18 +975,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="disable the degradation ladder "
                                   "(elide→full-checks, "
                                   "JIT→interpreter)")
-    hunt_parser.add_argument("--jit", type=int, default=None,
-                             metavar="THRESHOLD",
-                             help="enable the dynamic tier at N calls "
-                                  "(safe-sulong)")
-    hunt_parser.add_argument("--elide", action="store_true",
-                             help="enable proven-safe check elision "
-                                  "(safe-sulong)")
-    hunt_parser.add_argument("--speculate", action="store_true",
-                             help="enable speculative check elision "
-                                  "with deopt as the top ladder rung "
-                                  "(degrades speculate→elide→"
-                                  "full-checks; safe-sulong)")
     hunt_parser.add_argument("--report",
                              default="hunt-report.jsonl", metavar="PATH",
                              help="JSONL report path (checkpoint goes "
@@ -1008,10 +986,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="fault injection spec (kind@job[*N]; "
                                   "kinds: crash, hang, oom, error; also "
                                   "via REPRO_HARNESS_FAULTS)")
-    hunt_parser.add_argument("--prescreen", action="store_true",
-                             help="run the interprocedural static lint "
-                                  "per program and record its findings "
-                                  "on the campaign report records")
     hunt_parser.add_argument("--gen", type=int, default=0, metavar="N",
                              help="generate N seeded programs "
                                   "(repro.gen) and add them to the "
@@ -1175,30 +1149,9 @@ def main(argv: list[str] | None = None) -> int:
                               help="task lease duration; an expired "
                                    "lease is redelivered (default "
                                    "2x timeout)")
-    serve_parser.add_argument("--max-steps", type=int,
-                              default=2_000_000,
-                              help="interpreter step budget per task "
-                                   "(default 2000000)")
-    serve_parser.add_argument("--heap-quota", type=int,
-                              default=64 * 1024 * 1024, metavar="BYTES",
-                              help="managed-heap budget per task "
-                                   "(default 64 MiB)")
-    serve_parser.add_argument("--output-cap", type=int,
-                              default=1024 * 1024, metavar="BYTES",
-                              help="program output budget (default "
-                                   "1 MiB)")
-    serve_parser.add_argument("--jit", type=int, default=None,
-                              metavar="THRESHOLD",
-                              help="enable the dynamic tier at N calls "
-                                   "(safe-sulong)")
-    serve_parser.add_argument("--elide", action="store_true",
-                              help="enable proven-safe check elision "
-                                   "(safe-sulong)")
-    serve_parser.add_argument("--speculate", action="store_true",
-                              help="enable speculative check elision "
-                                   "with deopt as the top ladder rung "
-                                   "(degrades speculate→elide→"
-                                   "full-checks; safe-sulong)")
+    _add_engine_flags(serve_parser, "--max-steps", "--heap-quota",
+                      "--output-cap", "--jit", "--elide", "--speculate",
+                      campaign=True)
     serve_parser.add_argument("--cache-cap", type=int, default=None,
                               metavar="BYTES",
                               help="prune the shared compilation cache "
@@ -1257,9 +1210,9 @@ def main(argv: list[str] | None = None) -> int:
                                 help="block-trace ring size: how many "
                                      "blocks before the fault keep "
                                      "register snapshots (default 32)")
-    explain_parser.add_argument("--max-steps", type=int, default=None,
-                                help="override the recorded interpreter "
-                                     "step budget")
+    _add_engine_flags(explain_parser, "--max-steps",
+                      helps={"--max-steps": "override the recorded "
+                                            "interpreter step budget"})
     explain_parser.add_argument("--divergence",
                                 action=argparse.BooleanOptionalAction,
                                 default=None,
@@ -1407,7 +1360,11 @@ def main(argv: list[str] | None = None) -> int:
                                    "files (default: current directory)")
     bench_parser.set_defaults(handler=cmd_bench_merge)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.handler(args)
 
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 import os
 import time
 
-from ..cfront import compile_source
+from ..core.config import EngineConfig
+from ..core.engine import SafeSulong
 from ..core.errors import ProgramExit
-from ..core.interpreter import Runtime
-from ..core.intrinsics import default_intrinsics
-from ..libc import include_dir, libc_module
 from ..native import NativeMachine, compile_native
 from ..sanitizers.asan import AsanTool, instrument_module
 from ..sanitizers.memcheck import MemcheckTool
@@ -54,31 +52,15 @@ class Session:
 class ManagedSession(Session):
     """Safe Sulong: managed interpreter + optional dynamic compilation."""
 
-    def __init__(self, source: str, jit_threshold: int | None = 3,
-                 jit_compile_latency: int = 0,
-                 filename: str = "bench.c",
-                 elide_checks: bool = False,
-                 speculate: bool = False,
-                 fuse: bool = True,
-                 observer=None, track_heap: bool = False):
+    def __init__(self, source: str,
+                 config: EngineConfig = EngineConfig(jit_threshold=3),
+                 observer=None, filename: str = "bench.c",
+                 fuse: bool = True, jit_compile_latency: float = 0):
         self.name = "safe-sulong"
-        program = compile_source(source, filename=filename,
-                                 include_dirs=[include_dir()],
-                                 defines={"__SAFE_SULONG__": "1"})
-        module = libc_module().link(program, name=filename)
-        if speculate:
-            elide_checks = True
-        if elide_checks:
-            from ..opt import elide
-            elide.run_module(module)
-        self.observer = observer
-        self.runtime = Runtime(module, intrinsics=default_intrinsics(),
-                               jit_threshold=jit_threshold,
-                               jit_compile_latency=jit_compile_latency,
-                               elide_checks=elide_checks,
-                               speculate=speculate, fuse=fuse,
-                               observer=observer,
-                               track_heap=track_heap)
+        engine = SafeSulong(config, observer=observer, fuse=fuse)
+        self.runtime = engine.new_runtime(
+            engine.compile(source, filename),
+            jit_compile_latency=jit_compile_latency)
 
     def run_iteration(self) -> bytes:
         runtime = self.runtime
@@ -129,97 +111,55 @@ class NativeSession(Session):
         return bytes(machine.stdout)
 
 
+_INTERP = EngineConfig()
+_JIT = EngineConfig(jit_threshold=3)
+
+# Managed configurations: name -> (engine config, Observer keywords or
+# None, extra ManagedSession keywords).
+MANAGED_CONFIGURATIONS = {
+    "safe-sulong": (_JIT, None, {}),
+    # Background-compiler model: functions compile one by one while the
+    # program keeps interpreting (Figure 15's gradual ramp).
+    "safe-sulong-warmup": (_JIT, None, {"jit_compile_latency": 0.5}),
+    "safe-sulong-interp": (_INTERP, None, {}),
+    "safe-sulong-interp-elide": (EngineConfig(elide_checks=True), None, {}),
+    # The pre-superinstruction dispatch baseline (BENCH_speculate.json).
+    "safe-sulong-interp-nofuse": (_INTERP, None, {"fuse": False}),
+    # The treatment side of benchmarks/test_speculative_elision.py.
+    "safe-sulong-interp-speculate": (EngineConfig(speculate=True), None,
+                                     {}),
+    # Observability costs.  A disabled observer must specialize to the
+    # plain fast paths (the <3% contracts in BENCH_obs/BENCH_explain).
+    "safe-sulong-obs": (_INTERP, {"enabled": True}, {}),
+    "safe-sulong-obs-disabled": (_INTERP, {"enabled": False}, {}),
+    "safe-sulong-blocktrace": (
+        _INTERP, {"enabled": True, "block_trace": True}, {}),
+    "safe-sulong-blocktrace-disabled": (
+        _INTERP, {"enabled": False, "block_trace": True}, {}),
+    "safe-sulong-lines": (_INTERP, {"enabled": True, "lines": True}, {}),
+    "safe-sulong-provenance": (EngineConfig(track_heap=True), None, {}),
+}
+
+# Native configurations: name -> (optimization level, tool factory).
+NATIVE_CONFIGURATIONS = {
+    "clang-O0": (0, None),
+    "clang-O3": (3, None),
+    "asan-O0": (0, AsanTool),
+    "memcheck-O0": (0, MemcheckTool),
+}
+
+
 def make_session(program: str, configuration: str) -> Session:
     """Configurations used across the performance experiments."""
     source = program_source(program)
     filename = program + ".c"
-    if configuration == "safe-sulong":
-        return ManagedSession(source, jit_threshold=3, filename=filename)
-    if configuration == "safe-sulong-warmup":
-        # Background-compiler model: functions compile one by one while
-        # the program keeps interpreting (Figure 15's gradual ramp).
-        return ManagedSession(source, jit_threshold=3,
-                              jit_compile_latency=0.5,
-                              filename=filename)
-    if configuration == "safe-sulong-interp":
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename)
-    if configuration == "safe-sulong-elide":
-        # Static check elision (opt/elide.py): dynamic checks the
-        # dataflow analyses prove redundant are skipped.
-        return ManagedSession(source, jit_threshold=3, filename=filename,
-                              elide_checks=True)
-    if configuration == "safe-sulong-interp-elide":
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename, elide_checks=True)
-    if configuration == "safe-sulong-interp-nofuse":
-        # The pre-superinstruction dispatch baseline: no fusion, no
-        # elision, no speculation — what the interpreter was before
-        # the speculative-elision work (BENCH_speculate.json baseline).
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename, fuse=False)
-    if configuration == "safe-sulong-interp-speculate":
-        # Speculative check elision + safe-O2 clone + fused dispatch,
-        # interpreter tier only (no JIT): the treatment side of the
-        # ≥2x gate in benchmarks/test_speculative_elision.py.
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename, speculate=True)
-    if configuration == "safe-sulong-speculate":
-        # Same with the dynamic tier: compiled code carries the same
-        # guards and deopts back to the interpreter on failure.
-        return ManagedSession(source, jit_threshold=3, filename=filename,
-                              speculate=True)
-    if configuration == "safe-sulong-obs":
-        # Enabled observability: every check/instruction/call counted.
+    if configuration in NATIVE_CONFIGURATIONS:
+        opt_level, tool_factory = NATIVE_CONFIGURATIONS[configuration]
+        return NativeSession(source, opt_level, tool_factory=tool_factory,
+                             name=configuration, filename=filename)
+    config, observer, extra = MANAGED_CONFIGURATIONS[configuration]
+    if observer is not None:
         from ..obs import Observer
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename,
-                              observer=Observer(enabled=True))
-    if configuration == "safe-sulong-obs-disabled":
-        # Observer attached but disabled: must specialize to exactly
-        # the plain fast paths (the <3% contract in BENCH_obs.json).
-        from ..obs import Observer
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename,
-                              observer=Observer(enabled=False))
-    if configuration == "safe-sulong-blocktrace":
-        # Block-trace recording (`repro explain`): every basic-block
-        # entry snapshots the register file into a bounded ring.
-        from ..obs import Observer
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename,
-                              observer=Observer(enabled=True,
-                                                block_trace=True))
-    if configuration == "safe-sulong-blocktrace-disabled":
-        # Recorder requested on a *disabled* observer: must specialize
-        # to the plain fast path (the <3% contract in
-        # BENCH_explain.json).
-        from ..obs import Observer
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename,
-                              observer=Observer(enabled=False,
-                                                block_trace=True))
-    if configuration == "safe-sulong-provenance":
-        # Heap-object tracking kept alive for --heap-dump provenance
-        # renders (alloc/free sites are stamped either way; this pays
-        # only for retaining the object list).
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename, track_heap=True)
-    if configuration == "safe-sulong-lines":
-        # Per-source-line attribution: every retired instruction bumps
-        # its line's counters (the `repro profile --lines` cost).
-        from ..obs import Observer
-        return ManagedSession(source, jit_threshold=None,
-                              filename=filename,
-                              observer=Observer(enabled=True, lines=True))
-    if configuration == "clang-O0":
-        return NativeSession(source, 0, filename=filename)
-    if configuration == "clang-O3":
-        return NativeSession(source, 3, filename=filename)
-    if configuration == "asan-O0":
-        return NativeSession(source, 0, tool_factory=AsanTool,
-                             name="asan-O0", filename=filename)
-    if configuration == "memcheck-O0":
-        return NativeSession(source, 0, tool_factory=MemcheckTool,
-                             name="memcheck-O0", filename=filename)
-    raise KeyError(configuration)
+        observer = Observer(**observer)
+    return ManagedSession(source, config, observer=observer,
+                          filename=filename, **extra)

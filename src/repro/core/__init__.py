@@ -5,13 +5,14 @@ representing C objects as managed objects and relying on the host
 language's automatic checks (bounds, NULL, type, and free-state checks).
 """
 
+from .config import EngineConfig
 from .engine import ExecutionResult, SafeSulong
 from .errors import (AccessKind, BugKind, BugReport, MemoryKind, ProgramBug,
                      ProgramCrash, ProgramExit)
 from .objects import Address, ManagedObject
 
 __all__ = [
-    "ExecutionResult", "SafeSulong",
+    "EngineConfig", "ExecutionResult", "SafeSulong",
     "AccessKind", "BugKind", "BugReport", "MemoryKind", "ProgramBug",
     "ProgramCrash", "ProgramExit",
     "Address", "ManagedObject",

@@ -13,6 +13,7 @@ from ..cfront import compile_source
 from ..libc import include_dir, libc_module
 from ..obs.spans import span
 from . import leakcheck
+from .config import EngineConfig
 from .errors import (BugReport, DeoptSignal, InterpreterLimit, ProgramBug,
                      ProgramCrash, ProgramExit)
 from .interpreter import Runtime
@@ -75,7 +76,8 @@ class ExecutionResult:
 
 
 class SafeSulong:
-    """Public API of the managed bug-finding engine.
+    """Public API of the managed bug-finding engine.  Engine options
+    come as an :class:`~repro.core.config.EngineConfig` and/or keywords.
 
     >>> engine = SafeSulong()
     >>> result = engine.run_source('int main(void){ return 42; }')
@@ -85,30 +87,15 @@ class SafeSulong:
 
     name = "safe-sulong"
 
-    def __init__(self, jit_threshold: int | None = None,
+    def __init__(self, config: EngineConfig = EngineConfig(), *,
                  detect_use_after_scope: bool = False,
                  detect_leaks: bool = False,
                  max_steps: int | None = None,
                  use_libc: bool = True,
-                 elide_checks: bool = False,
-                 max_heap_bytes: int | None = None,
-                 max_call_depth: int | None = None,
-                 max_output_bytes: int | None = None,
                  observer=None, cache=None,
-                 track_heap: bool = False,
-                 speculate: bool = False,
                  speculation_profile: dict | None = None,
-                 fuse: bool = True):
-        self.jit_threshold = jit_threshold
-        # Profile-guided speculative tier: run safe-O2-optimized clones
-        # with guarded fast loops (and, when compiled, DeoptSignal-based
-        # speculation).  Implies elide_checks — the static proofs feed
-        # the same annotations the speculative analysis builds on.
-        # Use-after-scope hunting pins objects to exact lifetimes that
-        # the speculative data caching would bypass, so it wins.
-        self.speculate = speculate and not detect_use_after_scope
-        if self.speculate:
-            elide_checks = True
+                 fuse: bool = True, **options):
+        self.config = config._replace(**options)
         self.speculation_profile = speculation_profile
         # Superinstruction fusion in the interpreter's prepare step.
         # Benchmarks pass fuse=False to time the one-node-per-
@@ -128,19 +115,6 @@ class SafeSulong:
         self.detect_leaks = detect_leaks
         self.max_steps = max_steps
         self.use_libc = use_libc
-        # Resource quotas (None = unlimited); exceeding one surfaces as
-        # ExecutionResult.limit_exceeded, never as a Python exception.
-        self.max_heap_bytes = max_heap_bytes
-        self.max_call_depth = max_call_depth
-        self.max_output_bytes = max_output_bytes
-        # Run the static proof pass (opt/elide.py) over each module and
-        # let the interpreter/JIT skip dynamic checks it proved
-        # redundant.  Detection is unaffected: elision requires a proof
-        # that the check cannot fire.
-        self.elide_checks = elide_checks
-        # Track live heap objects even without leak detection — the
-        # provenance renderer's --heap-dump view needs them.
-        self.track_heap = track_heap
         self.intrinsics = default_intrinsics()
 
     # -- compilation -----------------------------------------------------------
@@ -185,26 +159,36 @@ class SafeSulong:
 
     # -- execution ---------------------------------------------------------------
 
-    def run_module(self, module: ir.Module, argv: list[str] | None = None,
-                   stdin: bytes = b"",
-                   vfs: dict[str, bytes] | None = None) -> ExecutionResult:
-        if self.elide_checks:
+    def new_runtime(self, module: ir.Module, **runtime_options) -> Runtime:
+        """A runtime for ``module`` under this engine's config, with the
+        implications between options applied: speculation builds on the
+        static proofs, and use-after-scope hunting (exact lifetimes)
+        rules out speculative data caching."""
+        config = self.config
+        speculate = config.speculate and not self.detect_use_after_scope
+        elide_checks = config.elide_checks or speculate
+        if elide_checks:
             self._annotate_elisions(module)
         if self.cache is not None:
             self.cache.observer = self.observer
-        runtime = Runtime(
+        return Runtime(
             module, intrinsics=self.intrinsics, max_steps=self.max_steps,
             detect_use_after_scope=self.detect_use_after_scope,
-            jit_threshold=self.jit_threshold,
-            track_heap=self.detect_leaks or self.track_heap,
-            elide_checks=self.elide_checks,
-            max_heap_bytes=self.max_heap_bytes,
-            max_call_depth=self.max_call_depth,
-            max_output_bytes=self.max_output_bytes,
+            jit_threshold=config.jit_threshold,
+            track_heap=self.detect_leaks or config.track_heap,
+            elide_checks=elide_checks,
+            max_heap_bytes=config.max_heap_bytes,
+            max_call_depth=config.max_call_depth,
+            max_output_bytes=config.max_output_bytes,
             observer=self.observer, cache=self.cache,
-            speculate=self.speculate,
+            speculate=speculate,
             speculation_profile=self.speculation_profile,
-            fuse=self.fuse)
+            fuse=self.fuse, **runtime_options)
+
+    def run_module(self, module: ir.Module, argv: list[str] | None = None,
+                   stdin: bytes = b"",
+                   vfs: dict[str, bytes] | None = None) -> ExecutionResult:
+        runtime = self.new_runtime(module)
         if vfs:
             runtime.vfs = {path: bytearray(data)
                            for path, data in vfs.items()}

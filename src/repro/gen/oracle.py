@@ -41,15 +41,14 @@ def make_tiers(cache_dir: str | None = None) -> dict:
     """The five oracle backends.  A shared ``cache_dir`` keeps the
     compilation/analysis cache warm across a sweep (the elision tier's
     interprocedural libc summaries dominate the cold cost)."""
+    from ..core.config import EngineConfig
     from ..tools import AsanRunner, NativeRunner, SafeSulongRunner
-    use_cache = cache_dir is not None
+    cache = EngineConfig(cache_dir=cache_dir,
+                         use_cache=cache_dir is not None)
     return {
-        "interp": SafeSulongRunner(
-            cache_dir=cache_dir, use_cache=use_cache),
-        "jit": SafeSulongRunner(
-            jit_threshold=1, cache_dir=cache_dir, use_cache=use_cache),
-        "elide": SafeSulongRunner(
-            elide_checks=True, cache_dir=cache_dir, use_cache=use_cache),
+        "interp": SafeSulongRunner(cache),
+        "jit": SafeSulongRunner(cache, jit_threshold=1),
+        "elide": SafeSulongRunner(cache, elide_checks=True),
         "native": NativeRunner(0),
         "asan": AsanRunner(0),
     }
@@ -65,9 +64,8 @@ def managed_tiers(cache_dir: str | None = None,
     everything = make_tiers(cache_dir)
     tiers = {name: everything[name] for name in MANAGED_TIERS}
     if speculate:
-        tiers["speculate"] = SafeSulongRunner(
-            speculate=True, cache_dir=cache_dir,
-            use_cache=cache_dir is not None)
+        tiers["speculate"] = SafeSulongRunner(tiers["interp"].config,
+                                              speculate=True)
     return tiers
 
 

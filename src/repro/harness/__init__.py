@@ -6,7 +6,7 @@ package provides that discipline for any ToolRunner:
 
 * :mod:`.pool` — subprocess worker pool: per-program isolation,
   wall-clock watchdog with kill-and-reap, bounded retry-with-backoff,
-  and the degradation ladder (elide → full-checks, JIT → interpreter);
+  and the degradation ladder (``EngineConfig.descend``);
 * :mod:`.quotas` — per-run resource budgets (interpreter steps, heap
   bytes, call depth, output bytes) enforced inside the managed engine;
 * :mod:`.triage` — program-bug vs tool-failure classification and

@@ -69,7 +69,9 @@ def run_campaign(programs: list[tuple[str, str]], *,
                  trace_spans: str | None = None,
                  gen_manifests: dict | None = None) -> dict:
     """Run every program through the hardened pool; returns the summary
-    (also appended to the report).  ``collect_metrics`` makes each
+    (also appended to the report).  ``options`` is the engine config's
+    wire dict; ``quotas`` fills in the quotas it leaves out and sets
+    the step budget.  ``collect_metrics`` makes each
     worker run with an enabled observer and ship its snapshot back, so
     the summary can aggregate check/JIT/heap totals across the campaign
     (counting costs a few percent per run — pass False to opt out).
@@ -83,9 +85,7 @@ def run_campaign(programs: list[tuple[str, str]], *,
     quotas = quotas or Quotas()
     if timeout is None:
         timeout = DEFAULT_TIMEOUT
-    options = dict(options or {})
-    if tool == "safe-sulong":
-        options.update(quotas.engine_options())
+    options = quotas.config(options).to_json()
     plan = parse_faults(faults_spec)
 
     tasks = []

@@ -13,13 +13,9 @@ The pool is the layer that survives what the engine cannot promise to:
   campaign scale;
 * **degradation ladder** — a *persistent* worker failure, or an
   internal tool error the worker itself reports, re-runs the program
-  one rung down: speculative elision off first (speculate → elide),
-  then static elision off (elide → full-checks), then the dynamic tier
-  off (JIT → interpreter).  Every rung runs with at
-  least the checks of the rung above — degrading can only make the
-  tool slower or stricter, never blinder — so detection is preserved
-  (see DESIGN.md).  The rung that finally produced the result is
-  recorded in the report.
+  one rung down (:meth:`EngineConfig.descend`).  Every rung runs with
+  at least the checks of the rung above, so detection is preserved
+  (see DESIGN.md).  The rung that produced the result is recorded.
 """
 
 from __future__ import annotations
@@ -31,7 +27,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
+from ..core.config import EngineConfig
 from . import triage
 from .faults import FaultPlan
 from .quotas import DEFAULT_TIMEOUT
@@ -61,46 +59,29 @@ class WorkTask:
         self.options = options or {}
 
 
-class Rung:
-    __slots__ = ("name", "tool", "options")
-
-    def __init__(self, name: str, tool: str, options: dict):
-        self.name = name
-        self.tool = tool
-        self.options = options
+class Rung(NamedTuple):
+    name: str
+    tool: str
+    options: dict  # the engine config's wire dict
 
 
 def build_ladder(tool: str, options: dict | None,
                  enabled: bool = True) -> list[Rung]:
-    """The degradation ladder for one tool configuration, strongest-
-    checked last.  Each descent disables an optimization, never a check:
-    elision is proof-based sugar on top of full checks, and the
-    interpreter tier is the JIT's semantic reference."""
-    options = dict(options or {})
-    rungs = [Rung("as-requested", tool, options)]
+    """The degradation ladder for one tool configuration (``options``
+    is the engine config's wire dict), strongest-checked last."""
+    config = EngineConfig.from_json(options)
+    rungs = [Rung("as-requested", tool, config.to_json())]
     if not enabled:
         return rungs
     if tool == "safe-sulong":
-        current = options
-        if current.get("speculate"):
-            # Top rung: speculative elision with deopt.  First descent
-            # turns speculation off but keeps static elision — guards
-            # only ever *add* re-checks, so each rung down runs at
-            # least the checks of the rung above.
-            current = {**current, "speculate": False,
-                       "elide_checks": True}
-            rungs.append(Rung("elide", tool, current))
-        if current.get("elide_checks"):
-            current = {**current, "elide_checks": False}
-            rungs.append(Rung("full-checks", tool, current))
-        if current.get("jit_threshold") is not None:
-            current = {**current, "jit_threshold": None}
-            rungs.append(Rung("interpreter", tool, current))
+        rungs += [Rung(name, tool, lower.to_json())
+                  for name, lower in config.descend()[1:]]
     elif tool.endswith("-O3"):
         # Baselines degrade by optimization level: -O3 is where the
         # optimizer deletes both bugs and checks (§4.1), so -O0 is the
         # stricter rung.
-        rungs.append(Rung("O0", tool[:-len("-O3")] + "-O0", options))
+        rungs.append(Rung("O0", tool[:-len("-O3")] + "-O0",
+                          config.to_json()))
     return rungs
 
 

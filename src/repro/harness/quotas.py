@@ -11,6 +11,10 @@ can stop a run that stopped making progress entirely.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from ..core.config import EngineConfig
+
 DEFAULT_MAX_STEPS = 2_000_000
 DEFAULT_HEAP_BYTES = 64 * 1024 * 1024
 DEFAULT_OUTPUT_BYTES = 1024 * 1024
@@ -18,51 +22,14 @@ DEFAULT_CALL_DEPTH: int | None = None  # Python's own stack already bounds it
 DEFAULT_TIMEOUT = 10.0
 
 
-class Quotas:
+class Quotas(NamedTuple):
     """Budget for one program run (everything but wall-clock)."""
 
-    __slots__ = ("max_steps", "max_heap_bytes", "max_call_depth",
-                 "max_output_bytes")
+    max_steps: int | None = DEFAULT_MAX_STEPS
+    max_heap_bytes: int | None = DEFAULT_HEAP_BYTES
+    max_call_depth: int | None = DEFAULT_CALL_DEPTH
+    max_output_bytes: int | None = DEFAULT_OUTPUT_BYTES
 
-    def __init__(self, max_steps: int | None = DEFAULT_MAX_STEPS,
-                 max_heap_bytes: int | None = DEFAULT_HEAP_BYTES,
-                 max_call_depth: int | None = DEFAULT_CALL_DEPTH,
-                 max_output_bytes: int | None = DEFAULT_OUTPUT_BYTES):
-        self.max_steps = max_steps
-        self.max_heap_bytes = max_heap_bytes
-        self.max_call_depth = max_call_depth
-        self.max_output_bytes = max_output_bytes
-
-    def engine_options(self) -> dict:
-        """The safe-sulong engine keywords (everything but max_steps,
-        which is a per-run argument on every ToolRunner)."""
-        return {
-            "max_heap_bytes": self.max_heap_bytes,
-            "max_call_depth": self.max_call_depth,
-            "max_output_bytes": self.max_output_bytes,
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "max_heap_bytes": self.max_heap_bytes,
-            "max_call_depth": self.max_call_depth,
-            "max_output_bytes": self.max_output_bytes,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict | None) -> "Quotas":
-        data = data or {}
-        return cls(max_steps=data.get("max_steps", DEFAULT_MAX_STEPS),
-                   max_heap_bytes=data.get("max_heap_bytes",
-                                           DEFAULT_HEAP_BYTES),
-                   max_call_depth=data.get("max_call_depth",
-                                           DEFAULT_CALL_DEPTH),
-                   max_output_bytes=data.get("max_output_bytes",
-                                             DEFAULT_OUTPUT_BYTES))
-
-    def __repr__(self) -> str:
-        return (f"Quotas(steps={self.max_steps}, "
-                f"heap={self.max_heap_bytes}, "
-                f"depth={self.max_call_depth}, "
-                f"output={self.max_output_bytes})")
+    def config(self, options: dict | None) -> EngineConfig:
+        """``options`` (a wire dict), its unset quotas filled from here."""
+        return EngineConfig.from_json({**self._asdict(), **(options or {})})

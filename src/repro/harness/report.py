@@ -28,18 +28,17 @@ import hashlib
 import json
 import os
 
+from ..core.config import EngineConfig
 from .faults import crash_point
 
 
 def campaign_fingerprint(tool: str, options: dict, max_steps: int | None,
                          job_ids: list[str]) -> str:
-    # The compilation cache never changes results, so its configuration
-    # must not invalidate a resumable checkpoint.
-    options = {key: value for key, value in options.items()
-               if key not in ("cache_dir", "use_cache")}
+    """Identify a campaign by what can change its records; ``options``
+    is the engine config's wire dict."""
     blob = json.dumps({
         "tool": tool,
-        "options": options,
+        "options": EngineConfig.from_json(options).fingerprint(),
         "max_steps": max_steps,
         "jobs": sorted(job_ids),
     }, sort_keys=True)

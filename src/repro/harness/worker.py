@@ -166,25 +166,20 @@ def run_job(job: dict) -> dict:
         return data
     data = serialize_result(
         result, metrics=observer.snapshot() if observer else None)
-    options = job.get("options") or {}
-    if options.get("prescreen") and tool == "safe-sulong":
-        data["static_findings"] = _prescreen(source, filename, options)
+    if tool == "safe-sulong" and runner.config.prescreen:
+        data["static_findings"] = _prescreen(source, filename, runner.cache)
     if recorder is not None:
         data["spans"] = recorder.snapshot()
         data["spans_dropped"] = recorder.spans_dropped
     return data
 
 
-def _prescreen(source: str, filename: str, options: dict) -> list:
+def _prescreen(source: str, filename: str, cache) -> list:
     """Interprocedural lint findings for the campaign record.  The
     prescreen is advisory — any analysis failure degrades to an empty
     report entry, never to a failed job."""
     try:
         from ..analysis import lint_source
-        from ..cache import resolve_cache
-        cache = resolve_cache(options.get("cache_dir"),
-                              enabled=bool(options.get("use_cache",
-                                                       False)))
         return [d.as_dict() for d in lint_source(
             source, filename=filename, cache=cache)]
     except Exception as error:

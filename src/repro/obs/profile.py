@@ -15,27 +15,26 @@ DEFAULT_JIT_THRESHOLD = 3
 HOT_FUNCTIONS = 12
 
 
-def profile_source(source: str, *, filename: str = "program.c",
+def profile_source(source: str, config=None, *,
+                   filename: str = "program.c",
                    argv: list[str] | None = None, stdin: bytes = b"",
-                   jit_threshold: int | None = DEFAULT_JIT_THRESHOLD,
-                   elide_checks: bool = False,
                    max_steps: int | None = None,
                    trace_path: str | None = None, cache=None,
-                   lines: bool = False, track_heap: bool = False):
+                   lines: bool = False, **options):
     """Run ``source`` with an enabled observer; returns
-    ``(ExecutionResult, snapshot dict)``.
-
-    ``lines=True`` switches on per-source-line attribution, which pins
-    execution to the interpreter (exact counts, no JIT);
-    ``track_heap=True`` keeps the heap-object list alive for
-    ``--heap-dump`` rendering.
-    """
+    ``(ExecutionResult, snapshot dict)``.  Engine options come as an
+    EngineConfig (default: the JIT on) and/or keywords.  ``lines=True``
+    switches on per-source-line attribution, which pins execution to
+    the interpreter (exact counts, no JIT)."""
+    from ..core.config import EngineConfig
     from ..core.engine import SafeSulong
+    config = config or EngineConfig(jit_threshold=DEFAULT_JIT_THRESHOLD)
+    config = config._replace(**options)
+    if lines:
+        config = config._replace(jit_threshold=None)
     observer = Observer(enabled=True, trace_path=trace_path, lines=lines)
-    engine = SafeSulong(jit_threshold=None if lines else jit_threshold,
-                        elide_checks=elide_checks, max_steps=max_steps,
-                        observer=observer, cache=cache,
-                        track_heap=track_heap)
+    engine = SafeSulong(config, max_steps=max_steps, observer=observer,
+                        cache=cache)
     try:
         result = engine.run_source(source, argv=argv, stdin=stdin,
                                    filename=filename)

@@ -64,15 +64,18 @@ def build_manifest(*, tool: str = "safe-sulong",
                    max_steps: int | None = None,
                    gen: dict | None = None,
                    fault=None) -> dict:
-    """One replay manifest.  ``options`` is filtered down to the
-    semantic engine options (tools.semantic_options); ``gen`` is a
-    repro.gen program manifest and rides along whole."""
-    from ..tools import engine_version, semantic_options
+    """One replay manifest.  ``options`` is projected to
+    :meth:`EngineConfig.semantic` (baseline tools carry their whole
+    configuration in the tool name); ``gen`` is a repro.gen program
+    manifest and rides along whole."""
+    from ..core.config import EngineConfig
+    from ..tools import engine_version
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "engine": engine_version(),
         "tool": tool,
-        "options": semantic_options(tool, options),
+        "options": EngineConfig.from_json(options).semantic()
+        if tool == "safe-sulong" else {},
         "filename": filename,
         "source_sha256": source_digest(source)
         if source is not None else None,
@@ -217,12 +220,12 @@ def replay(manifest: dict, source: str | None = None, *,
     source, filename = resolve_source(manifest, source)
     tool = manifest.get("tool") or "safe-sulong"
     observer = None
-    options = dict(manifest.get("options") or {})
+    options = manifest.get("options")
     if tool == "safe-sulong":
-        options["jit_threshold"] = None
-        options["speculate"] = False
-        options["elide_checks"] = False
-        options["track_heap"] = True
+        # The ladder's bottom rung, keeping heap objects for the history.
+        from ..core.config import EngineConfig
+        _name, reference = EngineConfig.from_json(options).descend()[-1]
+        options = reference._replace(track_heap=True).to_json()
         if block_trace:
             from .observer import Observer
             observer = Observer(enabled=True, block_trace=True,

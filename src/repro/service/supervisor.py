@@ -77,22 +77,21 @@ class Supervisor:
         self.bugdb = bugdb
         self.tool = tool
         self.quotas = quotas or Quotas()
-        base_options = dict(options or {})
+        config = self.quotas.config(options)
         if tool == "safe-sulong":
-            base_options.update(self.quotas.engine_options())
             # The service's top rung runs optimized (elision + JIT) so
             # the degradation ladder has rungs to descend to; both are
             # correctness-preserving (elision is proof-based, the JIT
             # is the interpreter's semantic twin), so this changes
             # throughput, never what gets detected.
-            if base_options.get("jit_threshold") is None:
+            if config.jit_threshold is None:
                 from ..obs.profile import DEFAULT_JIT_THRESHOLD
-                base_options["jit_threshold"] = DEFAULT_JIT_THRESHOLD
-            if not base_options.get("elide_checks"):
-                base_options["elide_checks"] = True
+                config = config._replace(jit_threshold=DEFAULT_JIT_THRESHOLD)
+            config = config._replace(elide_checks=True)
         # The service-wide degradation ladder: index 0 is as-requested,
         # later rungs trade optimization for headroom under load.
-        self.rungs = build_ladder(tool, base_options, True)
+        self.config = config
+        self.rungs = build_ladder(tool, config.to_json(), True)
         self.rung_index = 0
         self.jobs = max(1, jobs)
         self.timeout = DEFAULT_TIMEOUT if timeout is None else timeout
@@ -298,12 +297,10 @@ class Supervisor:
     def _maybe_prune_cache(self) -> None:
         if not self.cache_cap_bytes or self._steps % 50:
             return
-        cache_dir = self.rungs[0].options.get("cache_dir")
-        use_cache = self.rungs[0].options.get("use_cache", False)
-        if not (cache_dir or use_cache):
+        if not (self.config.cache_dir or self.config.use_cache):
             return
         from ..cache import resolve_cache
-        cache = resolve_cache(cache_dir)
+        cache = resolve_cache(self.config.cache_dir)
         if cache is not None:
             removed = cache.prune(self.cache_cap_bytes)
             if removed:

@@ -11,6 +11,7 @@ tool at all).
 
 from __future__ import annotations
 
+from .core.config import EngineConfig
 from .core.engine import ExecutionResult, SafeSulong
 from .native import compile_native, run_native
 from .sanitizers.asan import AsanTool, instrument_module
@@ -29,27 +30,6 @@ def engine_version() -> str:
     from .cache import CODEGEN_VERSION
     return (f"repro-{__version__}+codegen{CODEGEN_VERSION}"
             f"+analysis{ANALYSIS_VERSION}")
-
-
-# The safe-sulong option keys that can change what a run computes or
-# detects — the ones a replay manifest must reproduce.  Plumbing keys
-# (cache_dir/use_cache/prescreen) are excluded for the same reason
-# campaign_fingerprint excludes them: they affect how fast an answer
-# arrives, never which answer.
-SEMANTIC_OPTION_KEYS = ("jit_threshold", "elide_checks", "speculate",
-                       "max_heap_bytes", "max_call_depth",
-                       "max_output_bytes", "track_heap")
-
-
-def semantic_options(tool: str, options: dict | None = None) -> dict:
-    """The subset of ``options`` worth recording in a replay manifest.
-    Baseline tools carry their whole configuration in the tool name, so
-    they contribute nothing."""
-    if tool != "safe-sulong":
-        return {}
-    options = options or {}
-    return {key: options[key] for key in SEMANTIC_OPTION_KEYS
-            if options.get(key)}
 
 
 def detected(result: ExecutionResult) -> bool:
@@ -79,44 +59,24 @@ class SafeSulongRunner(ToolRunner):
 
     name = "safe-sulong"
 
-    def __init__(self, jit_threshold: int | None = None,
-                 elide_checks: bool = False, speculate: bool = False,
-                 max_heap_bytes: int | None = None,
-                 max_call_depth: int | None = None,
-                 max_output_bytes: int | None = None,
-                 observer=None, cache_dir: str | None = None,
-                 use_cache: bool = False, track_heap: bool = False):
-        self.jit_threshold = jit_threshold
-        self.elide_checks = elide_checks
-        self.speculate = speculate
-        self.max_heap_bytes = max_heap_bytes
-        self.max_call_depth = max_call_depth
-        self.max_output_bytes = max_output_bytes
-        # Keep the heap-object list for --heap-dump provenance renders.
-        self.track_heap = track_heap
-        # Not JSON-shippable, so not part of ``options``: workers build
+    def __init__(self, config: EngineConfig = EngineConfig(), *,
+                 observer=None, **options):
+        self.config = config._replace(**options)
+        # Not JSON-shippable, so not part of the config: workers build
         # their own Observer from the job's ``collect_metrics`` flag.
         self.observer = observer
         # The compilation cache, by contrast, IS shippable: workers get
-        # the directory path via options and open the shared store
+        # the directory path via the config and open the shared store
         # themselves (atomic writes make concurrent sharing safe).
-        if use_cache or cache_dir:
+        self.cache = None
+        if self.config.use_cache or self.config.cache_dir:
             from .cache import resolve_cache
-            self.cache = resolve_cache(cache_dir)
-        else:
-            self.cache = None
+            self.cache = resolve_cache(self.config.cache_dir)
 
     def run(self, source, argv=None, stdin=b"", vfs=None,
             max_steps=2_000_000, filename="program.c"):
-        engine = SafeSulong(jit_threshold=self.jit_threshold,
-                            max_steps=max_steps,
-                            elide_checks=self.elide_checks,
-                            speculate=self.speculate,
-                            max_heap_bytes=self.max_heap_bytes,
-                            max_call_depth=self.max_call_depth,
-                            max_output_bytes=self.max_output_bytes,
-                            observer=self.observer, cache=self.cache,
-                            track_heap=self.track_heap)
+        engine = SafeSulong(self.config, max_steps=max_steps,
+                            observer=self.observer, cache=self.cache)
         return engine.run_source(source, argv=argv, stdin=stdin,
                                  filename=filename, vfs=vfs)
 
@@ -208,29 +168,14 @@ def all_runners() -> dict[str, ToolRunner]:
 
 def make_runner(tool: str, options: dict | None = None,
                 observer=None) -> ToolRunner:
-    """Build a runner by name with per-campaign option overrides.
-
-    This is the constructor the batch harness uses in worker processes
-    and when descending the degradation ladder: ``options`` carries the
-    safe-sulong configuration (``jit_threshold``, ``elide_checks``, and
-    the resource quotas); baseline tools take their configuration from
-    the tool name itself.  ``observer`` (obs.Observer, not JSON-safe and
-    therefore not an option) attaches to safe-sulong only — baseline
-    tools have nothing to observe.
-    """
-    options = dict(options or {})
+    """Build a runner by name: the constructor the batch harness uses in
+    worker processes and for each ladder rung.  ``options`` is the
+    safe-sulong config's wire dict; baseline tools take their
+    configuration from the tool name.  ``observer`` (not JSON-safe, so
+    not an option) attaches to safe-sulong only."""
     if tool == "safe-sulong":
-        return SafeSulongRunner(
-            jit_threshold=options.get("jit_threshold"),
-            elide_checks=bool(options.get("elide_checks", False)),
-            speculate=bool(options.get("speculate", False)),
-            max_heap_bytes=options.get("max_heap_bytes"),
-            max_call_depth=options.get("max_call_depth"),
-            max_output_bytes=options.get("max_output_bytes"),
-            observer=observer,
-            cache_dir=options.get("cache_dir"),
-            use_cache=bool(options.get("use_cache", False)),
-            track_heap=bool(options.get("track_heap", False)))
+        return SafeSulongRunner(EngineConfig.from_json(options),
+                                observer=observer)
     runner = all_runners().get(tool)
     if runner is None:
         raise ValueError(f"unknown tool {tool!r}; choose from "

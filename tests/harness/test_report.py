@@ -6,6 +6,11 @@ import signal
 import subprocess
 import sys
 
+import pytest
+
+from repro.__main__ import main
+from repro.harness import campaign
+from repro.harness.pool import build_ladder
 from repro.harness.report import (CampaignReport, campaign_fingerprint,
                                   read_report)
 
@@ -28,6 +33,48 @@ class TestFingerprint:
         assert campaign_fingerprint("t", {"jit_threshold": 5}, 1,
                                     ["a"]) != base
         assert campaign_fingerprint("t", {}, 2, ["a"]) != base
+
+
+class _Fingerprinted(Exception):
+    """Stops a hunt at its fingerprint, before any worker starts."""
+
+
+def _hunt_fingerprint_args(tmp_path, monkeypatch, *flags):
+    """The (tool, options, max_steps) `repro hunt FLAGS a.c` computes
+    its campaign fingerprint from."""
+    def stop(tool, options, max_steps, job_ids):
+        raise _Fingerprinted(tool, options, max_steps)
+
+    monkeypatch.setattr(campaign, "campaign_fingerprint", stop)
+    program = tmp_path / "a.c"
+    program.write_text("int main(void) { return 0; }\n")
+    with pytest.raises(_Fingerprinted) as stopped:
+        main(["hunt", *flags, str(program)])
+    return stopped.value.args
+
+
+class TestHuntCompatibility:
+    # Literals recorded before the engine options became one config,
+    # with job ids ["a.c", "b.c"].  On a fingerprint mismatch the report
+    # reopens in "w" mode, so an older checkpoint would lose its report.
+    @pytest.mark.parametrize("flags, expected", [
+        ((), "816b5271bf38e9fa"),
+        (("--speculate", "--jit", "3"), "05f20bb5752ba005"),
+        (("--elide", "--prescreen", "--no-cache"), "c44b0476e0269b30"),
+    ])
+    def test_fingerprint_resumes_older_checkpoints(self, tmp_path,
+                                                   monkeypatch, flags,
+                                                   expected):
+        tool, options, max_steps = _hunt_fingerprint_args(
+            tmp_path, monkeypatch, *flags)
+        assert campaign_fingerprint(tool, options, max_steps,
+                                    ["a.c", "b.c"]) == expected
+
+    def test_speculate_rungs(self, tmp_path, monkeypatch):
+        tool, options, _ = _hunt_fingerprint_args(
+            tmp_path, monkeypatch, "--speculate", "--jit", "3")
+        assert [rung.name for rung in build_ladder(tool, options)] == [
+            "as-requested", "elide", "full-checks", "interpreter"]
 
 
 class TestResume:

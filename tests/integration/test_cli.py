@@ -176,3 +176,102 @@ class TestEmitIr:
         main(["emit-ir", "--native", path])
         out = capsys.readouterr().out
         assert "load" not in out  # folded to a constant
+
+
+# Every option string of the engine-running subcommands with its
+# default, recorded before their engine flags were declared from one
+# table: a flag may not be added, dropped or re-defaulted.
+CLI_SURFACE = {
+    "run": {
+        "--tool": "safe-sulong", "--stdin": False, "--max-steps": None,
+        "--timeout": None, "--heap-quota": None, "--elide": False,
+        "--speculate": False, "--metrics": None, "--heap-dump": False,
+        "--trace-spans": None, "--manifest": None, "--cache-dir": None,
+        "--no-cache": False,
+    },
+    "profile": {
+        "--jit": None, "--elide": False, "--max-steps": None,
+        "--stdin": False, "--quiet": False, "--metrics": None,
+        "--trace": None, "--lines": False, "--flamegraph": None,
+        "--hot-checks": 0, "--heap-dump": False, "--trace-spans": None,
+        "--cache-dir": None, "--no-cache": False,
+    },
+    "hunt": {
+        "--tool": "safe-sulong", "--jobs": 1, "--timeout": None,
+        "--max-steps": 2000000, "--heap-quota": 67108864,
+        "--call-depth": None, "--output-cap": 1048576, "--retries": 2,
+        "--backoff": 0.1, "--no-ladder": False, "--jit": None,
+        "--elide": False, "--speculate": False,
+        "--report": "hunt-report.jsonl", "--fresh": False,
+        "--faults": None, "--prescreen": False, "--gen": 0,
+        "--gen-seed": 0, "--gen-plant": "mixed", "--selftest": False,
+        "--quiet": False, "--no-metrics": False, "--trace-spans": None,
+        "--cache-dir": None, "--no-cache": False,
+    },
+    "serve": {
+        "--state-dir": None, "--host": "127.0.0.1", "--port": 0,
+        "--tool": "safe-sulong", "--jobs": 2, "--timeout": None,
+        "--retries": 2, "--max-depth": 256, "--degrade-depth": None,
+        "--lease-ttl": None, "--max-steps": 2000000,
+        "--heap-quota": 67108864, "--output-cap": 1048576, "--jit": None,
+        "--elide": False, "--speculate": False, "--cache-cap": None,
+        "--faults": None, "--selftest": False, "--quiet": False,
+        "--cache-dir": None, "--no-cache": False,
+    },
+    "explain": {
+        "--id": None, "--source": None, "--format": "json",
+        "--budget": 65536, "--window": 32, "--max-steps": None,
+        "--divergence": None, "--no-divergence": None, "--out": "-",
+        "--selftest": False, "--quiet": False, "--cache-dir": None,
+        "--no-cache": False,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_cli_surface(command):
+    import argparse
+
+    from repro.__main__ import build_parser
+    [subparsers] = [action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    surface = {option: action.default
+               for action in subparsers.choices[command]._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings}
+    assert surface == CLI_SURFACE[command]
+
+
+class TestProfileJit:
+    # three() is called three times and four() four times: the default
+    # threshold of 3 compiles both, two() (called twice) stays
+    # interpreted.
+    SOURCE = """
+    int two(int x) { return x + 2; }
+    int three(int x) { return x + 3; }
+    int four(int x) { return x + 4; }
+    int main(void) {
+        int s = 0;
+        for (int i = 0; i < 2; i++) s += two(i);
+        for (int i = 0; i < 3; i++) s += three(i);
+        for (int i = 0; i < 4; i++) s += four(i);
+        return s & 1;
+    }
+    """
+
+    def _compiled(self, program_file, tmp_path, *flags):
+        metrics = tmp_path / "metrics.json"
+        status = main(["profile", "--no-cache", "--quiet", "--metrics",
+                       str(metrics), *flags, program_file(self.SOURCE)])
+        assert status == 0
+        events = json.loads(metrics.read_text())["events"]
+        return {event["function"] for event in events
+                if event["event"] == "jit-compile"}
+
+    def test_default_threshold_is_three(self, program_file, tmp_path,
+                                        capsys):
+        assert self._compiled(program_file, tmp_path) == {"three", "four"}
+
+    def test_jit_zero_turns_the_jit_off(self, program_file, tmp_path,
+                                        capsys):
+        assert self._compiled(program_file, tmp_path, "--jit", "0") == set()

@@ -17,6 +17,8 @@ import os
 
 import pytest
 
+from repro.__main__ import build_parser
+from repro.core.config import EngineConfig
 from repro.harness.triage import signatures
 from repro.harness.worker import run_job
 from repro.obs.replay import (ReplayError, ReplayMismatch,
@@ -58,6 +60,24 @@ TIER_OPTIONS = [
     {"elide_checks": True},
     {"speculate": True, "elide_checks": True},
 ]
+
+
+def _cli_options(*argv: str) -> dict:
+    """The engine options dict the CLI builds for ``argv``."""
+    return EngineConfig.from_args(build_parser().parse_args(argv)).to_json()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("run", "--speculate", "--heap-dump", "a.c"),
+     {"speculate": True, "track_heap": True}),
+    (("hunt", "--speculate", "--jit", "3", "a.c"),
+     {"jit_threshold": 3, "speculate": True,
+      "max_heap_bytes": 67108864, "max_output_bytes": 1048576}),
+])
+def test_manifest_options_match_older_records(argv, expected):
+    # Literals recorded before the engine options became one config.
+    manifest = build_manifest(options=_cli_options(*argv), source="")
+    assert manifest["options"] == expected
 
 
 def _replay_section(options: dict) -> dict:
