@@ -2,8 +2,10 @@
 addressed compilation cache).
 
 The paper's §4.2 start-up cost is dominated by work the cache makes
-content-addressed: libc parsing, program front-end, prepare, and JIT
-codegen.  This experiment replays the sec42-style start-up measurement
+content-addressed: libc parsing and the program front end (the
+``frontend`` tier), plus the interprocedural analysis behind check
+elision (the ``analysis`` tier).  Node building and JIT code generation
+are not cached; both run cold in every process.  This experiment replays the sec42-style start-up measurement
 twice per configuration — once against an empty store (cold) and once
 against a store a previous "process" filled (warm; a fresh
 ``CompilationCache`` over the same directory, so only the disk tier
@@ -37,8 +39,9 @@ RESULTS_PATH = os.path.join(
     "BENCH_warmstart.json")
 
 # The sec42 measurement program plus two small companions, so the
-# figure covers the front end, the prepare tier, and the JIT tier
-# rather than a single lucky artifact.
+# figure covers several front-end artifacts, and programs that run hot
+# enough to JIT-compile cold in both runs, rather than a single lucky
+# artifact.
 CORPUS = [
     ("hello", '#include <stdio.h>\n'
               'int main(void) { printf("Hello, World!\\n"); return 0; }\n'),

@@ -33,8 +33,9 @@ Two pipelines share this driver and must not share cache entries:
 
 from __future__ import annotations
 
+import hashlib
+
 from ... import ir
-from ...cache.jitcache import function_ir_hash
 from ...ir import instructions as inst
 from ...obs.spans import span
 from ...opt import mem2reg
@@ -76,8 +77,8 @@ def analyze_module(module: ir.Module, cache=None,
     defined = {name: function for name, function in
                module.functions.items() if function.is_definition}
     # IR hashes must be taken before mem2reg rewrites the bodies (the
-    # hash is memoized on the function object, so the engine's own use
-    # of the same hash later stays consistent).
+    # hash is memoized on the function object, so a later analysis of
+    # the same module keys on the same hash).
     hashes = {name: function_ir_hash(function)
               for name, function in defined.items()}
     with span("analysis:callgraph", functions=len(defined)):
@@ -107,6 +108,22 @@ def analyze_module(module: ir.Module, cache=None,
         if cache is not None:
             cache.put_analysis(key, _encode(scc, summaries, scc_findings))
     return ModuleAnalysis(callgraph, summaries, findings, stats)
+
+
+def function_ir_hash(function: ir.Function) -> str:
+    """Content hash of one function's printed IR, memoized on the
+    function object."""
+    cached = getattr(function, "_cache_ir_hash", None)
+    if cached is not None:
+        return cached
+    from ...ir.printer import print_function
+    digest = hashlib.sha256(
+        print_function(function).encode("utf-8")).hexdigest()
+    try:
+        function._cache_ir_hash = digest
+    except AttributeError:
+        pass
+    return digest
 
 
 def module_summaries(module: ir.Module, cache=None

@@ -1,26 +1,29 @@
 """Correctness-preserving compilation cache.
 
-Three content-addressed artifact classes over one two-tier store
+Two content-addressed artifact classes over one two-tier store
 (:mod:`repro.cache.store`):
 
 ``frontend``
     C source → serialized IR (textual printer dialect).  Skips all of
     ``repro.cfront`` on a hit; include-file manifest re-verified per
     lookup (:mod:`repro.cache.frontend`).
-``prepare``
-    IR function → prepare metadata plan (register count, counter keys,
-    JIT supportability).  Fast-paths ``prepare_function``
-    (:mod:`repro.cache.prepare`).
-``jit``
-    (IR function, elision annotations, codegen version) → generated
-    Python source plus const-replay recipes.  Skips codegen in
-    ``compile_function`` (:mod:`repro.cache.jitcache`).
+``analysis``
+    One call-graph SCC's interprocedural summaries and findings, keyed
+    by its members' IR hashes and the digests of the callee summaries
+    it consumed (:mod:`repro.analysis.interproc.driver`).
 
-Every artifact embeds its key and schema/codegen version and is
-re-verified on load; anything suspect is discarded and the cold path
-runs, so the cache can change speed but never semantics.
+Node trees and generated JIT code are not cached: nodes are closures
+over the live runtime, so no stored plan lets a process skip building
+them, and most of a JIT compile is Python's ``compile()`` of the
+generated source, which cached source would still pay.  Stores written
+by older versions hold ``prepare/`` and ``jit/`` directories
+(``store.RETIRED``); ``clear`` and ``prune`` walk them too.
 
-:class:`CompilationCache` is the facade the engine/runtime sees;
+Every artifact embeds its key and schema version and is re-verified on
+load; anything suspect is discarded and the cold path runs, so the
+cache can change speed but never semantics.
+
+:class:`CompilationCache` is the facade the engine sees;
 :func:`resolve_cache` turns user intent (flags, env vars) into a cache
 instance, memoizing one instance per resolved directory so every engine
 in a process shares one in-memory tier.
@@ -31,20 +34,17 @@ from __future__ import annotations
 import os
 
 from . import frontend as _frontend
-from . import jitcache, prepare
-from .store import (ANALYSIS, FRONTEND, JIT, PREPARE, CacheStore,
-                    cache_disabled_by_env, default_cache_dir)
+from .store import (ANALYSIS, CacheStore, cache_disabled_by_env,
+                    default_cache_dir)
 
 __all__ = [
     "CompilationCache", "get_cache", "resolve_cache",
-    "default_cache_dir", "cache_disabled_by_env", "CODEGEN_VERSION",
+    "default_cache_dir", "cache_disabled_by_env",
 ]
-
-CODEGEN_VERSION = jitcache.CODEGEN_VERSION
 
 
 class CompilationCache:
-    """Facade over one :class:`CacheStore` for the three artifact
+    """Facade over one :class:`CacheStore` for the two artifact
     tiers.  ``observer`` is forwarded to the store so cache events are
     attributed to whichever engine is currently running."""
 
@@ -80,34 +80,6 @@ class CompilationCache:
                 include_dirs=include_dirs, defines=defines,
                 module_name=module_name)
 
-    # -- prepare tier -------------------------------------------------------
-
-    def get_prepare_plan(self, function, elide_checks: bool):
-        from ..obs.spans import span
-        with span("cache:prepare", function=function.name):
-            key = prepare.prepare_key(function, elide_checks)
-            return self.store.get(PREPARE, key)
-
-    def put_prepare_plan(self, function, elide_checks: bool,
-                         plan: dict) -> None:
-        key = prepare.prepare_key(function, elide_checks)
-        self.store.put(PREPARE, key, plan)
-
-    # -- jit tier -----------------------------------------------------------
-
-    def get_jit(self, function, elide_checks: bool, counting: bool,
-                variant: str = ""):
-        from ..obs.spans import span
-        with span("cache:jit", function=function.name):
-            key = jitcache.jit_key(function, elide_checks, counting,
-                                   variant)
-            return self.store.get(JIT, key)
-
-    def put_jit(self, function, elide_checks: bool, counting: bool,
-                payload: dict, variant: str = "") -> None:
-        key = jitcache.jit_key(function, elide_checks, counting, variant)
-        self.store.put(JIT, key, payload)
-
     # -- analysis tier ------------------------------------------------------
 
     def get_analysis(self, key: str):
@@ -117,24 +89,6 @@ class CompilationCache:
 
     def put_analysis(self, key: str, payload: dict) -> None:
         self.store.put(ANALYSIS, key, payload)
-
-    def reject_jit(self, function, elide_checks: bool,
-                   counting: bool, variant: str = "") -> None:
-        """Report a verified-but-unreplayable JIT artifact (the get()
-        already counted a hit; the replay failure downgrades it)."""
-        self._downgrade(JIT, jitcache.jit_key(function, elide_checks,
-                                              counting, variant))
-
-    def reject_prepare(self, function, elide_checks: bool) -> None:
-        """Same downgrade for a prepare plan that failed verification
-        against the live IR."""
-        self._downgrade(PREPARE, prepare.prepare_key(function,
-                                                     elide_checks))
-
-    def _downgrade(self, artifact_class: str, key: str) -> None:
-        self.store.stats.hits -= 1
-        self.store.note("reject", artifact_class, key, "memory")
-        self.store.memory_drop(artifact_class, key)
 
     # -- maintenance --------------------------------------------------------
 

@@ -32,10 +32,12 @@ SCHEMA_VERSION = 1
 
 # Artifact classes (subdirectory per class).
 FRONTEND = "frontend"
-PREPARE = "prepare"
-JIT = "jit"
 ANALYSIS = "analysis"
-CLASSES = (FRONTEND, PREPARE, JIT, ANALYSIS)
+CLASSES = (FRONTEND, ANALYSIS)
+# Classes no engine writes any more.  Stores written by older versions
+# still hold them; maintenance walks them so ``clear`` empties such a
+# store and ``prune`` reclaims their bytes.
+RETIRED = ("prepare", "jit")
 
 
 def sha256_text(text: str) -> str:
@@ -242,15 +244,22 @@ class CacheStore:
 
     # -- maintenance (the `repro cache` subcommand) -------------------------
 
-    def disk_usage(self) -> dict:
-        """Entry counts and byte totals per artifact class on disk."""
-        usage = {cls: {"entries": 0, "bytes": 0} for cls in CLASSES}
-        if self.root is None or not os.path.isdir(self.root):
-            return usage
-        for cls in CLASSES:
+    def _class_dirs(self):
+        """(class, directory) for each class directory on disk, the
+        retired classes included."""
+        if self.root is None:
+            return
+        for cls in CLASSES + RETIRED:
             class_dir = os.path.join(self.root, cls)
-            if not os.path.isdir(class_dir):
-                continue
+            if os.path.isdir(class_dir):
+                yield cls, class_dir
+
+    def disk_usage(self) -> dict:
+        """Entry counts and byte totals per artifact class on disk (a
+        retired class gets a row only while it still has a directory)."""
+        usage = {cls: {"entries": 0, "bytes": 0} for cls in CLASSES}
+        for cls, class_dir in self._class_dirs():
+            row = usage.setdefault(cls, {"entries": 0, "bytes": 0})
             for dirpath, _dirnames, filenames in os.walk(class_dir):
                 for name in filenames:
                     if not name.endswith(".json"):
@@ -260,8 +269,8 @@ class CacheStore:
                             os.path.join(dirpath, name))
                     except OSError:
                         continue
-                    usage[cls]["entries"] += 1
-                    usage[cls]["bytes"] += size
+                    row["entries"] += 1
+                    row["bytes"] += size
         return usage
 
     def prune(self, max_bytes: int) -> int:
@@ -274,14 +283,9 @@ class CacheStore:
         change results — a pruned entry is simply a future miss — and
         the matching memory-tier entries are dropped too so a pruned
         artifact does not linger in one process's LRU forever."""
-        if self.root is None or not os.path.isdir(self.root):
-            return 0
         entries = []
         total = 0
-        for cls in CLASSES:
-            class_dir = os.path.join(self.root, cls)
-            if not os.path.isdir(class_dir):
-                continue
+        for cls, class_dir in self._class_dirs():
             for dirpath, _dirnames, filenames in os.walk(class_dir):
                 for name in filenames:
                     if not name.endswith(".json"):
@@ -313,12 +317,7 @@ class CacheStore:
         """Delete every entry; returns the number removed."""
         self._memory.clear()
         removed = 0
-        if self.root is None or not os.path.isdir(self.root):
-            return removed
-        for cls in CLASSES:
-            class_dir = os.path.join(self.root, cls)
-            if not os.path.isdir(class_dir):
-                continue
+        for _cls, class_dir in self._class_dirs():
             for dirpath, _dirnames, filenames in os.walk(class_dir,
                                                          topdown=False):
                 for name in filenames:

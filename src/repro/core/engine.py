@@ -102,10 +102,10 @@ class SafeSulong:
         # instruction dispatch baseline.
         self.fuse = fuse
         # Optional repro.cache.CompilationCache.  When attached, the
-        # front end, prepare, and JIT tiers look artifacts up before
-        # doing the work (and store what they build).  Semantics are
-        # unaffected: every artifact is verified on load and anything
-        # suspect falls back to the cold path.
+        # front end and the interprocedural analysis look artifacts up
+        # before doing the work (and store what they build).  Semantics
+        # are unaffected: every artifact is verified on load and
+        # anything suspect falls back to the cold path.
         self.cache = cache
         # Optional obs.Observer; when attached and enabled, the runtime
         # counts checks/instructions/calls and emits JIT + quota events.
@@ -180,8 +180,7 @@ class SafeSulong:
             max_heap_bytes=config.max_heap_bytes,
             max_call_depth=config.max_call_depth,
             max_output_bytes=config.max_output_bytes,
-            observer=self.observer, cache=self.cache,
-            speculate=speculate,
+            observer=self.observer, speculate=speculate,
             speculation_profile=self.speculation_profile,
             fuse=self.fuse, **runtime_options)
 

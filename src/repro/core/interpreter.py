@@ -59,9 +59,7 @@ class PreparedBlock:
 class PreparedFunction:
     __slots__ = ("function", "nregs", "blocks", "param_indices",
                  "call_count", "compiled", "name", "obs_instructions",
-                 "jit_supported", "jit_reason", "counter_keys",
-                 "source_function", "speculation", "reg_slots",
-                 "frame_pool")
+                 "source_function", "speculation", "frame_pool")
 
     def __init__(self, function: ir.Function):
         self.function = function
@@ -72,20 +70,10 @@ class PreparedFunction:
         self.call_count = 0
         self.compiled = None  # installed by the JIT tier
         self.obs_instructions = 0  # retired here, observer-enabled only
-        # Compilation-cache metadata.  ``jit_supported`` is tri-state:
-        # None = unknown (try compiling), False = known bailout (skip
-        # the probe, reuse ``jit_reason``).  ``counter_keys`` holds the
-        # [ordinal, key] list the prepare plan stores, when caching.
-        self.jit_supported: bool | None = None
-        self.jit_reason = ""
-        self.counter_keys: list | None = None
         # Speculative tier: the original function when ``function`` is a
-        # safe-O2 clone; the SpeculationState when guards are installed;
-        # the id(register) -> frame-slot map (retained only for the
-        # speculation installer).
+        # safe-O2 clone; the SpeculationState when guards are installed.
         self.source_function: ir.Function | None = None
         self.speculation = None
-        self.reg_slots: dict | None = None
         # Recycled Frame objects (interpret's fast path).  SSA form
         # guarantees every register read was written earlier in the same
         # activation, so stale slot values are never observable.
@@ -106,14 +94,11 @@ class Runtime:
                  max_heap_bytes: int | None = None,
                  max_call_depth: int | None = None,
                  max_output_bytes: int | None = None,
-                 observer=None, cache=None,
+                 observer=None,
                  speculate: bool = False,
                  speculation_profile: dict | None = None,
                  fuse: bool = True):
         self.module = module
-        # Optional repro.cache.CompilationCache: prepare plans and JIT
-        # artifacts are looked up/stored through it.  None = cold paths.
-        self.cache = cache
         # Observability (obs/observer.py).  ``_obs`` is None unless an
         # *enabled* observer is attached — every hot-path hook branches
         # on that one local/attribute, and node preparation specializes
@@ -333,16 +318,6 @@ class Runtime:
             self._obs.emit("jit-bailout", function=prepared.name,
                            reason=reason)
             return
-        if prepared.jit_supported is False:
-            # A cached prepare plan already knows codegen rejects this
-            # function: record the bailout without probing the emitter.
-            prepared.compiled = None
-            reason = prepared.jit_reason or "cached bailout"
-            self.compile_bailouts.append((prepared.name, reason))
-            if self._obs is not None:
-                self._obs.emit("jit-bailout", function=prepared.name,
-                               reason=reason, cached=True)
-            return
         from .jit import compile_function
         try:
             compile_function(self, prepared)
@@ -400,10 +375,9 @@ class Runtime:
         throw the artifact away and keep the function interpreted (where
         the same guard fails into the local full-checks path)."""
         prepared.compiled = None
-        prepared.jit_supported = False
-        prepared.jit_reason = "deoptimized: speculation guard failed"
         self.deopts += 1
-        self.compile_bailouts.append((prepared.name, prepared.jit_reason))
+        self.compile_bailouts.append(
+            (prepared.name, "deoptimized: speculation guard failed"))
         if self._obs is not None:
             self._obs.emit("deopt", function=prepared.name)
 
@@ -525,10 +499,10 @@ class Runtime:
                     values = [getter(frame) for _, getter in moves]
                     for (dst, _), value in zip(moves, values):
                         frame.regs[dst] = value
-            # Inlined BlockRecorder.record (a call per block entry is
-            # measurable; BENCH_explain.json gates this loop at <2x).
-            # Recorder fields reload every iteration: callees mutate
-            # them through their own recording loops.
+            # Recorded inline (a call per block entry is measurable;
+            # BENCH_explain.json gates this loop at <2x).  Recorder
+            # fields reload every iteration: callees mutate them through
+            # their own recording loops.
             step_no = recorder.steps
             recorder.steps = step_no + 1
             out_len = len(stdout)
@@ -544,6 +518,8 @@ class Runtime:
                 recorder.visits_capped = True
             if out_len != recorder.last_out:
                 recorder.last_out = out_len
+                # Attribute the write to the previously-entered block:
+                # the bytes appeared during its steps.
                 if len(recorder.out_marks) < MAX_OUT_MARKS:
                     recorder.out_marks.append((recorder.prev, out_len))
                 else:
@@ -629,82 +605,30 @@ class Runtime:
 # ---------------------------------------------------------------------------
 
 def prepare_function(runtime: Runtime, function: ir.Function) -> PreparedFunction:
-    prepared = _prepare_with_cache(runtime, function)
-    if getattr(runtime, "speculate", False) \
-            and runtime._obs is None \
+    prepared = PreparedFunction(function)
+    # Superinstruction fusion collapses the hottest adjacent pairs
+    # (cmp+br, gep+load, gep+store) into one node.  Fused nodes cannot
+    # count per-instruction, so fusion only runs without an observer —
+    # counting runs keep the exact one-node-per-instruction tree.
+    fuse = runtime._obs is None and runtime.fuse
+    reg_slots = prepare_body(prepared, _NodeBuilder, runtime, fuse)
+    if runtime.speculate and runtime._obs is None \
             and not runtime.detect_use_after_scope:
         # Exact-counting (observer) runs and use-after-scope hunts keep
         # the unspeculated node tree; everything else gets guarded fast
-        # loop copies.  Installation happens after the prepare plan is
-        # verified/stored, so cached plans never see the extra guard
-        # slots appended to ``nregs``.
-        _install_speculation(runtime, prepared)
+        # loop copies, which must address the exact same frame layout.
+        _install_speculation(runtime, prepared, reg_slots)
     return prepared
 
 
-def _prepare_with_cache(runtime: Runtime,
-                        function: ir.Function) -> PreparedFunction:
-    cache = getattr(runtime, "cache", None)
-    if cache is None:
-        return _prepare(runtime, function, None, None)
-
-    elide = runtime.elide_checks
-    plan = cache.get_prepare_plan(function, elide)
-    lookup = _plan_counter_lookup(plan)
-    if lookup is not None:
-        prepared = _prepare(runtime, function, lookup, None)
-        from ..cache.prepare import verify_plan
-        if verify_plan(plan, prepared.nregs,
-                       prepared.param_indices) is not None:
-            prepared.counter_keys = plan["counter_keys"]
-            if plan["jit_supported"] is False:
-                prepared.jit_supported = False
-                prepared.jit_reason = str(plan.get("jit_reason", ""))
-            return prepared
-        # Plan disagrees with the live IR (poisoned entry): the nodes
-        # built with its counter keys cannot be trusted — downgrade the
-        # hit to a reject and rebuild cold (which re-stores a good plan).
-        cache.reject_prepare(function, elide)
-    elif plan is not None:
-        cache.reject_prepare(function, elide)
-
-    keys: list = []
-    prepared = _prepare(runtime, function, None, keys)
-    prepared.counter_keys = keys
-    from ..cache.prepare import encode_plan
-    cache.put_prepare_plan(function, elide,
-                           encode_plan(prepared.nregs,
-                                       prepared.param_indices, keys,
-                                       True, ""))
-    return prepared
-
-
-def _plan_counter_lookup(plan) -> dict | None:
-    """Decode a plan's [ordinal, key] list into a lookup dict, or None
-    when the plan is absent or malformed (malformed → reject)."""
-    if not isinstance(plan, dict):
-        return None
-    keys = plan.get("counter_keys")
-    if not isinstance(keys, list):
-        return None
-    lookup: dict[int, str] = {}
-    for entry in keys:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and isinstance(entry[0], int)
-                and isinstance(entry[1], str)):
-            return None
-        lookup[entry[0]] = entry[1]
-    return lookup
-
-
-def _prepare(runtime: Runtime, function: ir.Function,
-             counter_lookup: dict | None,
-             record: list | None) -> PreparedFunction:
-    """Build the node tree.  ``counter_lookup`` (from a cached prepare
-    plan) supplies observer counter keys by instruction ordinal,
-    skipping the per-instruction derivation; ``record``, when a list,
-    collects [ordinal, key] pairs for storing a new plan."""
-    prepared = PreparedFunction(function)
+def prepare_body(prepared: PreparedFunction, builder_class, runtime,
+                 fuse: bool) -> dict[int, int]:
+    """Build the node tree of ``prepared.function`` with a
+    ``builder_class`` over ``runtime`` (the interpreter's or the native
+    machine's).  Parameters take the first frame slots; every other
+    register takes the next free slot at its first use.  Returns the
+    ``id(register)`` -> slot map."""
+    function = prepared.function
     reg_index: dict[int, int] = {}
 
     def index_of(reg: ir.VirtualRegister) -> int:
@@ -716,86 +640,77 @@ def _prepare(runtime: Runtime, function: ir.Function,
 
     for param in function.params:
         prepared.param_indices.append(index_of(param))
-
     block_index = {block: i for i, block in enumerate(function.blocks)}
-    builder = _NodeBuilder(runtime, index_of, block_index)
-    counting = builder.obs is not None
-    elide_checks = runtime.elide_checks
-    # Superinstruction fusion collapses the hottest adjacent pairs
-    # (cmp+br, gep+load, gep+store) into one node.  Fused nodes cannot
-    # count per-instruction, so fusion only runs without an observer —
-    # counting runs keep the exact one-node-per-instruction tree.
-    fuse = builder.obs is None and getattr(runtime, "fuse", True)
+    builder = builder_class(runtime, index_of, block_index)
     use_counts = _use_counts(function) if fuse else None
+    prepared.blocks = [prepare_block(builder, block, use_counts)
+                       for block in function.blocks]
+    add_phi_moves(builder, zip(function.blocks, prepared.blocks))
+    prepared.nregs = len(reg_index)
+    return reg_index
 
-    # Ordinals follow the flat walk over every instruction (including
-    # phis and terminators) — the same addressing the JIT cache uses.
-    # Fusion never changes ordinals or recorded counter keys: prepare
-    # plans stay valid for future counting (unfused) runs.
-    ordinal = -1
-    prepared_blocks = []
-    for block in function.blocks:
-        pblock = PreparedBlock(block.label)
-        instructions = block.instructions
-        count = len(instructions)
-        pos = 0
-        while pos < count:
-            instruction = instructions[pos]
-            pos += 1
-            ordinal += 1
-            if isinstance(instruction, inst.Phi):
-                continue  # handled via phi_moves on block entry
-            if instruction.is_terminator:
-                pblock.terminator = builder.terminator(instruction)
-                continue
-            if counter_lookup is not None:
-                key = counter_lookup.get(ordinal)
-            elif counting or record is not None:
-                key = _counter_key(instruction, elide_checks)
-                if key is not None and record is not None:
-                    record.append([ordinal, key])
-            else:
-                key = None
-            if fuse and pos < count:
+
+def prepare_block(builder: "_NodeBuilder", block: ir.Block,
+                  use_counts: dict | None = None,
+                  site_nodes: dict | None = None,
+                  drops: set | None = None) -> PreparedBlock:
+    """One node per instruction of ``block``; phis are left to
+    :func:`add_phi_moves`.  With ``use_counts``, an instruction fuses
+    with the next one into a superinstruction where
+    :meth:`_NodeBuilder.try_fuse` allows.  The speculation installer
+    passes ``site_nodes`` (``id(instruction)`` -> raw access node) and
+    ``drops`` (ids of instructions to leave out); nothing fuses with an
+    instruction in either."""
+    site_nodes = site_nodes or {}
+    drops = drops or ()
+    pblock = PreparedBlock(block.label)
+    instructions = block.instructions
+    count = len(instructions)
+    pos = 0
+    while pos < count:
+        instruction = instructions[pos]
+        pos += 1
+        if isinstance(instruction, inst.Phi):
+            continue
+        if instruction.is_terminator:
+            pblock.terminator = builder.terminator(instruction)
+            continue
+        iid = id(instruction)
+        if iid in drops:
+            continue
+        fast = site_nodes.get(iid)
+        if fast is not None:
+            pblock.steps.append(fast)
+            continue
+        if use_counts is not None and pos < count:
+            following = id(instructions[pos])
+            if following not in site_nodes and following not in drops:
                 fused = builder.try_fuse(instruction, instructions[pos],
                                          use_counts)
                 if fused is not None:
                     kind, node = fused
-                    ordinal += 1
-                    if record is not None:
-                        consumed = _counter_key(instructions[pos],
-                                                elide_checks)
-                        if consumed is not None:
-                            record.append([ordinal, consumed])
                     pos += 1
                     if kind == "terminator":
                         pblock.terminator = node
                     else:
                         pblock.steps.append(node)
                     continue
-            pblock.steps.append(builder.step(instruction, key))
-        pblock.ninstr = len(pblock.steps) + 1
-        prepared_blocks.append(pblock)
+        pblock.steps.append(builder.step(instruction))
+    pblock.ninstr = len(pblock.steps) + 1
+    return pblock
 
-    # Phi moves: for each block with phis, map predecessor index -> moves.
-    for block, pblock in zip(function.blocks, prepared_blocks):
-        phis = block.phis()
-        if not phis:
-            continue
-        for phi in phis:
-            dst = index_of(phi.result)
+
+def add_phi_moves(builder: "_NodeBuilder", pairs) -> None:
+    """For each (IR block, prepared block) pair, the moves its phis make
+    on entry, keyed by the predecessor's index in
+    ``builder.block_index``."""
+    for block, pblock in pairs:
+        for phi in block.phis():
+            dst = builder.index_of(phi.result)
             for pred_block, value in phi.incoming:
-                pred = block_index[pred_block]
-                pblock.phi_moves.setdefault(pred, []).append(
-                    (dst, builder.getter(value)))
-
-    prepared.blocks = prepared_blocks
-    prepared.nregs = len(reg_index)
-    if getattr(runtime, "speculate", False):
-        # The speculation installer re-prepares loop blocks later and
-        # must address the exact same frame layout.
-        prepared.reg_slots = reg_index
-    return prepared
+                pblock.phi_moves.setdefault(
+                    builder.block_index[pred_block], []).append(
+                        (dst, builder.getter(value)))
 
 
 def _use_counts(function: ir.Function) -> dict[int, int]:
@@ -864,11 +779,6 @@ def _counter_key(instruction, elide_checks: bool) -> str | None:
     return None
 
 
-# Sentinel: step() derives the observer counter key itself (legacy
-# callers, e.g. the native machine's prepare loop).
-_COMPUTE_KEY = object()
-
-
 class _NodeBuilder:
     """Builds one executable closure ("node") per instruction."""
 
@@ -890,12 +800,11 @@ class _NodeBuilder:
 
     # -- steps -------------------------------------------------------------------
 
-    def step(self, instruction: inst.Instruction, key=_COMPUTE_KEY):
+    def step(self, instruction: inst.Instruction):
         method = getattr(self, "_node_" + type(instruction).__name__)
         node = method(instruction)
         if self.obs is not None:
-            if key is _COMPUTE_KEY:
-                key = _counter_key(instruction, self.runtime.elide_checks)
+            key = _counter_key(instruction, self.runtime.elide_checks)
             if key is not None:
                 counters = self.obs.counters
 
@@ -956,8 +865,8 @@ class _NodeBuilder:
                 test = self._fcmp_test(instruction)
             else:
                 return None
-            # The intermediate register keeps its frame slot so nregs —
-            # part of the cached prepare plan — is fusion-independent.
+            # The intermediate register keeps its frame slot, so the
+            # frame layout does not depend on fusion.
             self.index_of(result)
             if_true = self.block_index[following.if_true]
             if_false = self.block_index[following.if_false]
@@ -1896,15 +1805,17 @@ def _is_nullish(value) -> bool:
 # Speculative check elision (interpreter tier)
 # ---------------------------------------------------------------------------
 
-def _install_speculation(runtime: Runtime,
-                         prepared: PreparedFunction) -> None:
-    """Attach guarded fast-loop copies to a prepared function.
+def _install_speculation(runtime: Runtime, prepared: PreparedFunction,
+                         reg_slots: dict[int, int]) -> None:
+    """Attach guarded fast-loop copies to a prepared function whose
+    frame layout is ``reg_slots`` (``id(register)`` -> slot).
 
     For every plan from :mod:`repro.opt.speculate`, the loop's blocks
-    are re-prepared as *fast clones* appended after the original blocks:
-    speculated accesses become raw element indexing on the array's
-    backing list, their single-use GEPs disappear, and everything else
-    is rebuilt unchanged (with superinstruction fusion).  The original
+    are re-prepared (:func:`prepare_block`) as *fast clones* appended
+    after the original blocks: speculated accesses become raw element
+    indexing on the array's backing list, their single-use GEPs
+    disappear, and everything else is rebuilt unchanged (with
+    superinstruction fusion).  The original
     preheader's terminator is wrapped — when it targets the loop header
     and the guard passes, execution enters the clone instead.  A failing
     guard bumps ``runtime.guard_trips`` and runs the original fully
@@ -1919,9 +1830,8 @@ def _install_speculation(runtime: Runtime,
     state = getattr(function, "_spec_state_memo", None) \
         if profile is None else None
     if state is None:
-        plans = spec.analyze_function(function, profile)
         state = spec.SpeculationState(
-            plans, spec.plans_digest(function, plans))
+            spec.analyze_function(function, profile))
         if profile is None:
             # Analysis depends only on the (immutable) IR and the
             # profile; memoize the profile-free result across runtimes.
@@ -1931,8 +1841,7 @@ def _install_speculation(runtime: Runtime,
                 pass
     plans = state.plans
     prepared.speculation = state
-    reg_slots = prepared.reg_slots
-    if not plans or reg_slots is None:
+    if not plans:
         return
     block_index = {block: i for i, block in enumerate(function.blocks)}
     use_counts = _use_counts(function)
@@ -1988,55 +1897,15 @@ def _install_plan(runtime, prepared, plan, reg_slots, block_index,
 
     guard = _make_guard(plan, builder, checks)
 
-    clones = []
-    for block in body:
-        pblock = PreparedBlock(block.label)
-        instructions = block.instructions
-        count = len(instructions)
-        pos = 0
-        while pos < count:
-            instruction = instructions[pos]
-            pos += 1
-            if isinstance(instruction, inst.Phi):
-                continue
-            if instruction.is_terminator:
-                pblock.terminator = builder.terminator(instruction)
-                continue
-            iid = id(instruction)
-            if iid in drops:
-                continue  # single-use GEP folded into its access
-            fast = site_nodes.get(iid)
-            if fast is not None:
-                pblock.steps.append(fast)
-                continue
-            if pos < count:
-                following = instructions[pos]
-                fid = id(following)
-                if fid not in site_nodes and fid not in drops:
-                    fused = builder.try_fuse(instruction, following,
-                                             use_counts)
-                    if fused is not None:
-                        kind, node = fused
-                        pos += 1
-                        if kind == "terminator":
-                            pblock.terminator = node
-                        else:
-                            pblock.steps.append(node)
-                        continue
-            pblock.steps.append(builder.step(instruction))
-        pblock.ninstr = len(pblock.steps) + 1
-        clones.append((block, pblock))
-
+    # Speculated sites become raw accesses and their single-use GEPs
+    # fold into them; everything else is rebuilt, with fusion.
+    clones = [(block, prepare_block(builder, block, use_counts,
+                                    site_nodes, drops))
+              for block in body]
     # Phi moves inside the clone: same moves, predecessor keys remapped
     # through the shadow index (preheader keeps its original index; loop
     # predecessors become their clone indices).
-    for block, pblock in clones:
-        for phi in block.phis():
-            dst = frozen_index_of(phi.result)
-            for pred_block, value in phi.incoming:
-                pblock.phi_moves.setdefault(
-                    shadow[pred_block], []).append(
-                        (dst, builder.getter(value)))
+    add_phi_moves(builder, clones)
 
     # ---- all fallible work done; splice into the prepared function ----
     function = prepared.function

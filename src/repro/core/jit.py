@@ -27,6 +27,11 @@ from .interpreter import (Frame, PreparedFunction, _check_pointer,
                           _counter_key, _is_nullish, _pack_args, _ptr_eq)
 
 
+# Part of ``tools.engine_version()``: bump whenever a change to the
+# generated code could change what compiled functions detect.
+CODEGEN_VERSION = 4
+
+
 class CompileUnsupported(Exception):
     """The function uses a construct the compiler does not handle; it keeps
     running in the interpreter."""
@@ -130,20 +135,9 @@ class _Emitter:
         self.consts: dict[str, object] = {}
         self.reg_names: dict[int, str] = {}
         self.indent = 3
-        # Const-replay recipes for the compilation cache: one JSON
-        # recipe per const name, replayed against the live IR/runtime on
-        # a cache hit (cache/jitcache.py).  A const with no recipe makes
-        # the whole function uncacheable; its source is still used.
-        self.recipes: dict[str, list | None] = {}
-        self.cacheable = True
-        # Ordinal of the instruction currently being emitted, in the
-        # flat block-order walk — the addressing scheme recipes use.
-        self.ordinal = -1
-        self.current: inst.Instruction | None = None
         # With an enabled observer, compiled code counts the same
         # things the interpreter's counting nodes do; without one, the
         # generated source is byte-identical to the pre-obs compiler.
-        # _ctr/_pf are process-local and re-bound specially on replay.
         self.counting = runtime._obs is not None
         if self.counting:
             self.consts["_ctr"] = runtime._obs.counters
@@ -153,20 +147,16 @@ class _Emitter:
         # raises DeoptSignal before any side effect of the activation.
         # Counting runs never speculate (profiling wants full checks).
         self.spec_plans: list = []
-        self.spec_variant = ""
         # id(instruction) -> fast-site emission info / skip set.
         self.spec_sites: dict[int, tuple] = {}
         self.spec_skip: set[int] = set()
         self.spec_guards: dict[int, tuple] = {}
         self.block_index_current = 0
         self.needs_prev = False
-        self._flat_cache: list | None = None
         state = prepared.speculation
         if (state is not None and not self.counting
                 and getattr(runtime, "speculate", False)):
             self.spec_plans = state.jit_plans
-            if self.spec_plans:
-                self.spec_variant = state.digest
         for k, plan in enumerate(self.spec_plans):
             self.spec_guards[id(plan.header)] = (k, plan)
             self.spec_skip.update(plan.dead)
@@ -185,13 +175,9 @@ class _Emitter:
     def emit(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
-    def const(self, value, hint: str = "k",
-              recipe: list | None = None) -> str:
+    def const(self, value, hint: str = "k") -> str:
         name = f"_{hint}{len(self.consts)}"
         self.consts[name] = value
-        self.recipes[name] = recipe
-        if recipe is None:
-            self.cacheable = False
         return name
 
     def reg(self, register: ir.VirtualRegister) -> str:
@@ -207,8 +193,7 @@ class _Emitter:
         if isinstance(value, ir.ConstInt):
             return repr(value.value)
         if isinstance(value, ir.ConstFloat):
-            return self.const(value.value, "f",
-                              ["float", repr(value.value)])
+            return self.const(value.value, "f")
         if isinstance(value, (ir.ConstNull,)):
             return "None"
         runtime_value = self.runtime.constant_value(value)
@@ -216,25 +201,10 @@ class _Emitter:
             return "None"
         if isinstance(runtime_value, (int, float)):
             return repr(runtime_value)
-        return self.const(runtime_value, "g", self._operand_recipe(value))
-
-    def _operand_recipe(self, value: ir.Value) -> list | None:
-        """Locate ``value`` among the current instruction's operands so
-        a replay can re-run ``constant_value`` on the same operand."""
-        current = self.current
-        if current is None:
-            return None
-        for j, operand in enumerate(current.operands()):
-            if operand is value:
-                return ["operand", self.ordinal, j]
-        return None
+        return self.const(runtime_value, "g")
 
     def loc_const(self, instruction) -> str:
-        return self.const(instruction.loc, "L", ["loc", self.ordinal])
-
-    def type_const(self, ir_type, slot=None) -> str:
-        recipe = ["type", self.ordinal, slot] if slot is not None else None
-        return self.const(ir_type, "t", recipe)
+        return self.const(instruction.loc, "L")
 
     # -- function skeleton -----------------------------------------------------
 
@@ -312,13 +282,10 @@ class _Emitter:
     # -- instructions ------------------------------------------------------------
 
     def instruction(self, i: inst.Instruction) -> None:
-        self.ordinal += 1
-        self.current = i
         if id(i) in self.spec_skip:
             # A speculated site's single-use GEP / index arithmetic:
             # nothing consumes its register once the site is emitted as
-            # a raw access.  The ordinal still advances so const recipes
-            # keep addressing the flat instruction walk.
+            # a raw access.
             return
         method = getattr(self, "_i_" + type(i).__name__, None)
         if method is None:
@@ -339,8 +306,6 @@ class _Emitter:
         pred_order: list[int] = []
         table: dict[int, list[str]] = {}
         for phi in phis:
-            self.ordinal += 1
-            self.current = phi
             names.append(self.reg(phi.result))
             seen = set()
             for pred, value in phi.incoming:
@@ -364,32 +329,6 @@ class _Emitter:
         self.emit("else:")
         self.emit("    raise _Crash('phi with unmatched predecessor')")
 
-    def _flat_instructions(self) -> list:
-        if self._flat_cache is None:
-            self._flat_cache = list(self.prepared.function.instructions())
-        return self._flat_cache
-
-    def spec_operand(self, value: ir.Value) -> str:
-        """``operand()`` for guard emission, where ``value`` need not be
-        an operand of the instruction currently being emitted: the const
-        recipe is located by scanning the flat instruction walk for any
-        carrier of the value."""
-        if isinstance(value, (ir.VirtualRegister, ir.ConstInt,
-                              ir.ConstFloat, ir.ConstNull)):
-            return self.operand(value)
-        saved_current, saved_ordinal = self.current, self.ordinal
-        try:
-            for ordinal, instruction in enumerate(
-                    self._flat_instructions()):
-                for operand in instruction.operands():
-                    if operand is value:
-                        self.current, self.ordinal = instruction, ordinal
-                        return self.operand(value)
-            self.current = None  # uncacheable const, still correct
-            return self.operand(value)
-        finally:
-            self.current, self.ordinal = saved_current, saved_ordinal
-
     def _emit_guard(self, k: int, plan) -> None:
         """The loop-invariant guard, run on the preheader→header edge.
         Same predicate chain as the interpreter's ``_make_guard``; any
@@ -402,8 +341,8 @@ class _Emitter:
         inclusive = plan.predicate in ("sle", "ule")
         half = 1 << (plan.bits - 1)
         reach = max(plan.step, plan.guard_addend)
-        init = self.spec_operand(plan.init)
-        limit = self.spec_operand(plan.limit)
+        init = self.operand(plan.init)
+        limit = self.operand(plan.limit)
         self.emit(f"if _prev == {pre}:")
         self.indent += 1
         self.emit(f"_gi = {init}")
@@ -419,7 +358,7 @@ class _Emitter:
                   f"_gi + ((_gb - _gi) // {plan.step}) * {plan.step}")
         self.emit(f"if _gla + {reach} >= {half}: {deopt}")
         for g, group in enumerate(plan.groups):
-            base = self.spec_operand(group.base)
+            base = self.operand(group.base)
             array_class = "_IntArr" if group.kind == "int" \
                 else "_FloatArr"
             self.emit(f"_ga = {base}")
@@ -451,7 +390,7 @@ class _Emitter:
 
     def _i_Alloca(self, i: inst.Alloca) -> None:
         dst = self.reg(i.result)
-        type_name = self.type_const(i.allocated_type, "alloca")
+        type_name = self.const(i.allocated_type, "t")
         loc = self.loc_const(i)
         self.emit(f"{dst} = _Addr(_alloc({type_name}, {i.var_name!r}, "
                   f"'stack', {loc}), 0)")
@@ -470,7 +409,7 @@ class _Emitter:
                 self.emit(f"{dst} = {self._spec_index(spec)}")
             return
         pointer = self.operand(i.pointer)
-        type_name = self.type_const(i.result.type, "result")
+        type_name = self.const(i.result.type, "t")
         elide = i.elide if self.runtime.elide_checks else 0
         if elide >= 2:
             # Proven in-bounds of a non-freeable object: nothing can
@@ -502,7 +441,7 @@ class _Emitter:
             return
         pointer = self.operand(i.pointer)
         value = self.operand(i.value)
-        type_name = self.type_const(i.value.type, "store")
+        type_name = self.const(i.value.type, "t")
         elide = i.elide if self.runtime.elide_checks else 0
         if elide >= 2:
             self.emit(f"{pointer}.pointee.write({pointer}.offset, "
@@ -605,7 +544,7 @@ class _Emitter:
         b = self.operand(i.rhs)
         predicate = i.predicate
         if isinstance(i.lhs.type, irt.PointerType):
-            space = self.const(self.runtime.space, "sp", ["space"])
+            space = self.const(self.runtime.space, "sp")
             if predicate in ("eq", "ne"):
                 flip = "" if predicate == "eq" else "not "
                 self.emit(f"{dst} = 1 if {flip}_ptr_eq({a}, {b}, {space}) "
@@ -675,20 +614,18 @@ class _Emitter:
         elif kind == "fptrunc":
             self.emit(f"{dst} = _f32({value})")
         elif kind == "ptrtoint":
-            space = self.const(self.runtime.space, "sp", ["space"])
+            space = self.const(self.runtime.space, "sp")
             self.emit(f"{dst} = {space}.address_of({value}) "
                       f"& {dst_type.mask}")
         elif kind == "inttoptr":
-            space = self.const(self.runtime.space, "sp", ["space"])
+            space = self.const(self.runtime.space, "sp")
             self.emit(f"{dst} = {space}.to_pointer({value})")
         elif kind == "bitcast":
             if isinstance(dst_type, irt.PointerType):
                 factory = mo.factory_for_pointee(dst_type.pointee)
                 if factory is not None:
-                    factory_name = self.const(factory, "fac",
-                                              ["factory", self.ordinal])
-                    untyped = self.const(mo.UntypedHeapMemory, "ut",
-                                         ["untyped"])
+                    factory_name = self.const(factory, "fac")
+                    untyped = self.const(mo.UntypedHeapMemory, "ut")
                     self.emit(f"_v = {value}")
                     self.emit(f"if type(_v) is _Addr and "
                               f"isinstance(_v.pointee, {untyped}) and "
@@ -716,14 +653,14 @@ class _Emitter:
             for k, (arg, expression) in enumerate(
                     zip(i.args[n_fixed:], args[n_fixed:]), start=n_fixed):
                 packed.append(f"({expression}, "
-                              f"{self.type_const(arg.type, ['arg', k])})")
+                              f"{self.const(arg.type, 't')})")
             args = packed
         arg_list = "[" + ", ".join(args) + "]"
         if isinstance(i.callee, ir.Function):
-            target = self.const(i.callee, "fn", ["callee", self.ordinal])
+            target = self.const(i.callee, "fn")
         else:
             target = self.operand(i.callee)
-        site = self.const(id(i), "site", ["site", self.ordinal])
+        site = self.const(id(i), "site")
         self.emit(f"_loc = {loc}")
         call = (f"_call(rt, {target}, {arg_list}, {loc}, frame, "
                 f"{site})")
@@ -750,7 +687,7 @@ class _Emitter:
 
     def _i_Switch(self, i: inst.Switch) -> None:
         table = {case: self._block_index(block) for case, block in i.cases}
-        table_name = self.const(table, "sw", ["switch", self.ordinal])
+        table_name = self.const(table, "sw")
         default = self._block_index(i.default)
         if self.needs_prev:
             self.emit(f"_prev = {self.block_index_current}")
@@ -773,77 +710,9 @@ class _Emitter:
         return self.prepared.function.blocks.index(block)
 
 
-def _install(runtime, prepared: PreparedFunction, source: str,
-             consts: dict, started: float, cached: bool) -> bool:
-    """exec the generated source with its consts and install the result;
-    False (only possible for cached source) means the artifact was bad."""
-    obs = runtime._obs
-    namespace = dict(_HELPER_NAMESPACE)
-    namespace.update(consts)
-    try:
-        code = compile(source, f"<jit:{prepared.name}>", "exec")
-        exec(code, namespace)
-        compiled = namespace["__compiled__"]
-    except SyntaxError as error:
-        if cached:
-            return False
-        # pragma: no cover - compiler bug guard
-        prepared.compiled = None
-        runtime.compile_bailouts.append((prepared.name, repr(error)))
-        if obs is not None:
-            obs.emit("jit-bailout", function=prepared.name,
-                     reason=repr(error))
-        return True
-    except Exception:
-        if cached:
-            return False
-        raise
-    prepared.compiled = compiled
-    runtime.compiled_functions += 1
-    runtime.compile_log.append((runtime.steps, prepared.name))
-    if obs is not None:
-        obs.emit("jit-compile", function=prepared.name,
-                 compile_ms=round(
-                     (time.perf_counter() - started) * 1000.0, 3),
-                 code_bytes=len(source), steps=runtime.steps,
-                 cached=cached)
-    return True
-
-
-def _try_cached(runtime, prepared: PreparedFunction, cache, counting,
-                started: float, variant: str = "") -> bool:
-    """Install a cached JIT artifact; False falls back to cold codegen.
-    A verified-but-unreplayable artifact is downgraded to a reject."""
-    from ..cache import jitcache
-
-    function = prepared.function
-    elide = runtime.elide_checks
-    payload = cache.get_jit(function, elide, counting, variant)
-    if payload is None:
-        return False
-    source = payload.get("source") if isinstance(payload, dict) else None
-    recipes = payload.get("recipes") if isinstance(payload, dict) else None
-    consts = None
-    if isinstance(source, str) and isinstance(recipes, list):
-        consts = jitcache.replay_consts(recipes, runtime, function)
-    if consts is None:
-        cache.reject_jit(function, elide, counting, variant)
-        return False
-    if counting:
-        consts["_ctr"] = runtime._obs.counters
-        consts["_pf"] = prepared
-    if not _install(runtime, prepared, source, consts, started,
-                    cached=True):
-        cache.reject_jit(function, elide, counting, variant)
-        return False
-    return True
-
-
 def compile_function(runtime, prepared: PreparedFunction) -> None:
     """Compile ``prepared`` to Python; on success installs
-    ``prepared.compiled``.  With a compilation cache attached to the
-    runtime, a prior artifact (same IR, elisions, codegen version) skips
-    codegen entirely; a cold compile stores its artifact."""
+    ``prepared.compiled``, on a bailout leaves it None."""
     from ..obs.spans import span as _span
     with _span("jit-compile", function=prepared.name):
         _compile_function(runtime, prepared)
@@ -851,48 +720,34 @@ def compile_function(runtime, prepared: PreparedFunction) -> None:
 
 def _compile_function(runtime, prepared: PreparedFunction) -> None:
     obs = runtime._obs
-    counting = obs is not None
-    cache = getattr(runtime, "cache", None)
     started = time.perf_counter()
-    # Speculative artifacts are keyed by the profile-digest of the plans
-    # compiled into the code: a different profile selects different
-    # sites, hence different generated source under the same IR.
-    variant = ""
-    state = prepared.speculation
-    if (state is not None and not counting
-            and getattr(runtime, "speculate", False)
-            and state.jit_plans):
-        variant = state.digest
-    if cache is not None and _try_cached(runtime, prepared, cache,
-                                         counting, started, variant):
-        return
     try:
         emitter = _Emitter(runtime, prepared)
         source = emitter.build()
     except CompileUnsupported as unsupported:
-        prepared.compiled = None
-        prepared.jit_supported = False
-        prepared.jit_reason = str(unsupported)
-        runtime.compile_bailouts.append((prepared.name, str(unsupported)))
-        if obs is not None:
-            obs.emit("jit-bailout", function=prepared.name,
-                     reason=str(unsupported))
-        if cache is not None and prepared.counter_keys is not None:
-            # Remember the bailout in the prepare plan, so future runs
-            # skip the build-and-bail probe for this function.
-            from ..cache.prepare import encode_plan
-            cache.put_prepare_plan(
-                prepared.function, runtime.elide_checks,
-                encode_plan(prepared.nregs, prepared.param_indices,
-                            prepared.counter_keys, False,
-                            str(unsupported)))
+        _bail(runtime, prepared, str(unsupported))
         return
-    installed = _install(runtime, prepared, source, emitter.consts,
-                         started, cached=False)
-    if installed and prepared.compiled is not None \
-            and cache is not None and emitter.cacheable:
-        cache.put_jit(prepared.function, runtime.elide_checks, counting,
-                      {"source": source,
-                       "recipes": [[name, recipe] for name, recipe
-                                   in emitter.recipes.items()]},
-                      variant=emitter.spec_variant)
+    namespace = dict(_HELPER_NAMESPACE)
+    namespace.update(emitter.consts)
+    try:
+        exec(compile(source, f"<jit:{prepared.name}>", "exec"), namespace)
+    except SyntaxError as error:  # pragma: no cover - compiler bug guard
+        _bail(runtime, prepared, repr(error))
+        return
+    prepared.compiled = namespace["__compiled__"]
+    runtime.compiled_functions += 1
+    runtime.compile_log.append((runtime.steps, prepared.name))
+    if obs is not None:
+        obs.emit("jit-compile", function=prepared.name,
+                 compile_ms=round(
+                     (time.perf_counter() - started) * 1000.0, 3),
+                 code_bytes=len(source), steps=runtime.steps)
+
+
+def _bail(runtime, prepared: PreparedFunction, reason: str) -> None:
+    """The function stays on the interpreter tier."""
+    prepared.compiled = None
+    runtime.compile_bailouts.append((prepared.name, reason))
+    if runtime._obs is not None:
+        runtime._obs.emit("jit-bailout", function=prepared.name,
+                          reason=reason)

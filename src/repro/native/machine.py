@@ -25,8 +25,8 @@ from ..ir import instructions as inst
 from ..ir import types as irt
 from ..core.errors import (InterpreterLimit, ProgramBug, ProgramCrash,
                            ProgramExit)
-from ..core.interpreter import Frame, PreparedBlock, PreparedFunction, \
-    _NodeBuilder
+from ..core.interpreter import (Frame, PreparedFunction, _NodeBuilder,
+                                prepare_body)
 from ..core.bits import to_signed
 from . import memory as layout
 from .errors import Segfault
@@ -269,7 +269,7 @@ class NativeMachine:
         if cached is not None and cached.function is function:
             return cached
         prepared = PreparedFunction(function)
-        _prepare_native(self, function, prepared)
+        prepare_body(prepared, _NativeNodeBuilder, self, fuse=False)
         self.prepared[function.name] = prepared
         return prepared
 
@@ -640,47 +640,3 @@ class _NativeNodeBuilder(_NodeBuilder):
             if dst is not None:
                 frame.regs[dst] = result
         return node
-
-
-def _prepare_native(machine: NativeMachine, function: ir.Function,
-                    prepared: PreparedFunction) -> None:
-    reg_index: dict[int, int] = {}
-
-    def index_of(register: ir.VirtualRegister) -> int:
-        idx = reg_index.get(id(register))
-        if idx is None:
-            idx = len(reg_index)
-            reg_index[id(register)] = idx
-        return idx
-
-    for param in function.params:
-        prepared.param_indices.append(index_of(param))
-
-    block_index = {block: i for i, block in enumerate(function.blocks)}
-    builder = _NativeNodeBuilder(machine, index_of, block_index)
-
-    prepared_blocks = []
-    for block in function.blocks:
-        pblock = PreparedBlock(block.label)
-        for instruction in block.instructions:
-            if isinstance(instruction, inst.Phi):
-                continue
-            if instruction.is_terminator:
-                pblock.terminator = builder.terminator(instruction)
-            else:
-                pblock.steps.append(builder.step(instruction))
-        prepared_blocks.append(pblock)
-
-    for block, pblock in zip(function.blocks, prepared_blocks):
-        phis = block.phis()
-        if not phis:
-            continue
-        for phi in phis:
-            dst = index_of(phi.result)
-            for pred_block, value in phi.incoming:
-                pred = block_index[pred_block]
-                pblock.phi_moves.setdefault(pred, []).append(
-                    (dst, builder.getter(value)))
-
-    prepared.blocks = prepared_blocks
-    prepared.nregs = len(reg_index)

@@ -5,7 +5,8 @@ behind a single ``observer is not None`` / ``observer.enabled`` branch
 resolved at *prepare time* wherever possible, so a run without an
 observer executes exactly the code it executed before this layer
 existed (see DESIGN.md, "Observability" — the overhead contract is
-measured by ``benchmarks/test_obs_overhead.py`` into ``BENCH_obs.json``).
+measured by the ``obs`` contract of ``benchmarks/test_overhead.py`` into
+``BENCH_obs.json``).
 """
 
 from .observer import Observer

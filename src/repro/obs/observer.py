@@ -32,7 +32,7 @@ Counter key vocabulary (the profile renderer groups on these):
   surfaces;
 * ``cache.hit`` / ``cache.miss`` / ``cache.reject`` / ``cache.store``
   — compilation-cache outcomes, plus per-artifact-class variants
-  ``cache.<frontend|prepare|jit>.<outcome>``;
+  ``cache.<frontend|analysis>.<outcome>``;
 * ``service.*`` — bug-hunting-service health (``repro serve``):
   ``service.complete`` / ``service.bugs`` (tasks finished, tasks that
   found a bug), ``service.lease.expired`` (redeliveries after a dead

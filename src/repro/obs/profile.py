@@ -199,11 +199,12 @@ def render_profile(result, snapshot: dict, program: str = "") -> str:
     rejects = counters.get("cache.reject", 0)
     stores = counters.get("cache.store", 0)
     if hits or misses or rejects or stores:
+        from ..cache.store import CLASSES
         lines.append("")
         lines.append("-- compilation cache --")
         lines.append(f"  hits: {hits:,}   misses: {misses:,}   "
                      f"rejected: {rejects:,}   stored: {stores:,}")
-        for artifact in ("frontend", "prepare", "jit"):
+        for artifact in CLASSES:
             row = [counters.get(f"cache.{artifact}.{outcome}", 0)
                    for outcome in ("hit", "miss", "reject", "store")]
             if any(row):

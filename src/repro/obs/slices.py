@@ -10,10 +10,10 @@ hard size budget (``DEFAULT_BUDGET``, 64 KiB) so it fits an LLM context
 window; trimming removes the data farthest from the fault first and
 records every cut in ``packet["budget"]["trims"]``.
 
-The recorder is an interpreter hook: :meth:`BlockRecorder.record` runs
-once per basic-block entry (see ``Runtime._run_blocks_recording``) and
-does only O(1) work — a ring-buffer append of the entry-state register
-file, a visit-count bump, and an output watermark when stdout grew.
+The recorder is an interpreter hook: ``Runtime._run_blocks_recording``
+fills it once per basic-block entry with only O(1) work — a ring-buffer
+append of the entry-state register file, a visit-count bump, and an
+output watermark when stdout grew.
 Like ``--lines`` mode, an attached recorder pins execution to the
 interpreter tier; a disabled observer specializes the hook away
 entirely, which ``BENCH_explain.json`` certifies at <3% overhead.
@@ -66,11 +66,11 @@ MAX_OUT_MARKS = 4096
 class BlockRecorder:
     """Bounded recorder of interpreter basic-block entries.
 
-    ``record`` is the hot path: one call per block entry, doing a ring
-    append (entry snapshot), a visit-count increment, and an output
-    watermark append when stdout grew since the last entry.  Entries
-    keep live references (prepared function, a register-file slice);
-    they are rendered JSON-safe only at packet-build time.
+    The interpreter's recording loop fills it inline on every block
+    entry: a ring append (entry snapshot), a visit-count increment, and
+    an output watermark append when stdout grew since the last entry.
+    Entries keep live references (prepared function, a register-file
+    slice); they are rendered JSON-safe only at packet-build time.
     """
 
     __slots__ = ("window", "steps", "ring", "visits", "visits_capped",
@@ -92,31 +92,6 @@ class BlockRecorder:
         self.out_marks_capped = False
         self.last_out = 0
         self.prev = None
-
-    def record(self, prepared, index: int, frame, out_len: int) -> None:
-        step = self.steps
-        self.steps = step + 1
-        self.ring.append(
-            (step, prepared, index, frame.regs[:REG_CAP], out_len))
-        key = (prepared, index)
-        visits = self.visits
-        count = visits.get(key)
-        if count is not None:
-            visits[key] = count + 1
-        elif len(visits) < MAX_VISITED:
-            visits[key] = 1
-        else:
-            self.visits_capped = True
-        if out_len != self.last_out:
-            self.last_out = out_len
-            if len(self.out_marks) < MAX_OUT_MARKS:
-                # Attribute the write to the previously-entered block:
-                # the bytes appeared during its steps, before this
-                # block was entered.
-                self.out_marks.append((self.prev, out_len))
-            else:
-                self.out_marks_capped = True
-        self.prev = (step, prepared, index)
 
 
 # -- rendering recorder state into JSON-safe structures ---------------------

@@ -31,8 +31,6 @@ consume the plans (``core/interpreter.py`` / ``core/jit.py``).
 
 from __future__ import annotations
 
-import hashlib
-
 from .. import ir
 from ..analysis.cfg import ControlFlowGraph
 from ..ir import instructions as inst
@@ -112,11 +110,10 @@ class LoopPlan:
 class SpeculationState:
     """Attached to a PreparedFunction; shared by interpreter and JIT."""
 
-    __slots__ = ("plans", "digest")
+    __slots__ = ("plans",)
 
-    def __init__(self, plans, digest):
+    def __init__(self, plans):
         self.plans = plans
-        self.digest = digest
 
     @property
     def jit_plans(self):
@@ -518,24 +515,3 @@ def _stores_to_local(store: inst.Store, defs) -> bool:
         else:
             return False
     return False
-
-
-def plans_digest(function: ir.Function, plans: list[LoopPlan]) -> str:
-    """Stable fingerprint of the speculation decisions — part of the
-    speculative JIT artifact's cache key (a different profile selects
-    different sites, hence different generated code)."""
-    hasher = hashlib.sha256()
-    hasher.update(function.name.encode())
-    for plan in plans:
-        hasher.update(
-            f"|{plan.header.label}:{plan.predicate}:{plan.step}"
-            f":{plan.bits}:{int(plan.clean_preheader)}"
-            f":{plan.guard_addend}:{plan.init_floor}".encode())
-        for group in plan.groups:
-            hasher.update(f"[{group.stride}:{group.elem}:{group.kind}"
-                          f":{group.lo}:{group.hi}".encode())
-            for site in group.sites:
-                hasher.update(
-                    f"({'S' if site.is_store else 'L'}"
-                    f":{site.const_offset}:{int(site.drop_gep)})".encode())
-    return hasher.hexdigest()[:16]

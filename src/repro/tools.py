@@ -27,7 +27,7 @@ def engine_version() -> str:
     a flaky regression."""
     from . import __version__
     from .analysis.interproc.driver import ANALYSIS_VERSION
-    from .cache import CODEGEN_VERSION
+    from .core.jit import CODEGEN_VERSION
     return (f"repro-{__version__}+codegen{CODEGEN_VERSION}"
             f"+analysis{ANALYSIS_VERSION}")
 

@@ -5,8 +5,8 @@ must change the key (or fail the manifest) and force a recompile.
 import pytest
 
 from repro.cache import CompilationCache
-from repro.cache import jitcache, prepare
 from repro.core import SafeSulong
+from repro.obs import Observer
 
 HEADER_TEMPLATE = "#define VALUE {value}\n"
 SOURCE_WITH_INCLUDE = '#include "config.h"\nint value(void) { return VALUE; }\n'
@@ -67,63 +67,6 @@ def test_include_edit_misses_across_processes(tmp_path):
     assert cache.stats.misses == 1 and cache.stats.hits == 0
 
 
-SOURCE_LOOP = """
-#include <stdio.h>
-int sum(int n) {
-    int data[8];
-    for (int i = 0; i < 8; i++) data[i] = i;
-    int total = 0;
-    for (int i = 0; i < n; i++) total += data[i % 8];
-    return total;
-}
-int main(void) {
-    int total = 0;
-    for (int i = 0; i < 20; i++) total += sum(i);
-    printf("%d\\n", total);
-    return 0;
-}
-"""
-
-
-def _some_function(tmp_path, elide: bool):
-    cache = _cache(tmp_path)
-    engine = SafeSulong(cache=cache, elide_checks=elide)
-    module = engine.compile(SOURCE_LOOP, filename="keys.c")
-    if elide:
-        engine._annotate_elisions(module)
-    return next(f for f in module.functions.values()
-                if f.name == "sum" and f.blocks)
-
-
-def test_elision_annotations_change_keys(tmp_path):
-    function = _some_function(tmp_path, elide=True)
-    assert jitcache.elide_digest(function, True) != "off"
-    assert jitcache.jit_key(function, True, False) \
-        != jitcache.jit_key(function, False, False)
-    assert prepare.prepare_key(function, True) \
-        != prepare.prepare_key(function, False)
-
-
-def test_counting_flag_changes_jit_key(tmp_path):
-    # Observer-instrumented codegen emits counter bumps: a cached
-    # artifact from a counting run must not serve a non-counting run.
-    function = _some_function(tmp_path, elide=False)
-    assert jitcache.jit_key(function, False, True) \
-        != jitcache.jit_key(function, False, False)
-
-
-def test_codegen_version_bump_changes_keys(tmp_path, monkeypatch):
-    function = _some_function(tmp_path, elide=False)
-    old_jit = jitcache.jit_key(function, False, False)
-    old_prepare = prepare.prepare_key(function, False)
-    monkeypatch.setattr(jitcache, "CODEGEN_VERSION",
-                        jitcache.CODEGEN_VERSION + 1)
-    monkeypatch.setattr(prepare, "CODEGEN_VERSION",
-                        prepare.CODEGEN_VERSION + 1)
-    assert jitcache.jit_key(function, False, False) != old_jit
-    assert prepare.prepare_key(function, False) != old_prepare
-
-
 def test_different_source_text_different_frontend_key():
     from repro.cache.frontend import frontend_key
     base = frontend_key("int main(void){return 0;}", "a.c", None, None,
@@ -142,7 +85,9 @@ def test_warm_run_is_equivalent_and_all_hits(tmp_path, libc,
     # Two engines, two stores over the same directory (the second sees
     # only the disk tier — a stand-in for a fresh process); outputs and
     # bug reports must match byte for byte, and the warm program
-    # pipeline must be pure hits.
+    # pipeline must be pure hits.  Counting must not depend on the
+    # store either: every counter but the cache's own, and the number
+    # of compiled functions, match.
     source = """
     #include <stdio.h>
     #include <stdlib.h>
@@ -153,11 +98,15 @@ def test_warm_run_is_equivalent_and_all_hits(tmp_path, libc,
         return 0;
     }
     """
-    cold = SafeSulong(cache=_cache(tmp_path), jit_threshold=jit_threshold)
+    cold_observer = Observer(enabled=True)
+    cold = SafeSulong(cache=_cache(tmp_path), jit_threshold=jit_threshold,
+                      observer=cold_observer)
     cold_result = cold.run_source(source, filename="warm.c")
 
     warm_cache = _cache(tmp_path)
-    warm = SafeSulong(cache=warm_cache, jit_threshold=jit_threshold)
+    warm_observer = Observer(enabled=True)
+    warm = SafeSulong(cache=warm_cache, jit_threshold=jit_threshold,
+                      observer=warm_observer)
     warm_result = warm.run_source(source, filename="warm.c")
 
     assert warm_result.stdout == cold_result.stdout
@@ -167,3 +116,11 @@ def test_warm_run_is_equivalent_and_all_hits(tmp_path, libc,
     assert warm_cache.stats.hits > 0
     assert warm_cache.stats.misses == 0
     assert warm_cache.stats.rejects == 0
+
+    def engine_counters(observer):
+        return {key: value for key, value in observer.counters.items()
+                if not key.startswith("cache.")}
+
+    assert engine_counters(warm_observer) == engine_counters(cold_observer)
+    assert warm_result.runtime.compiled_functions \
+        == cold_result.runtime.compiled_functions

@@ -1,6 +1,7 @@
 """The profile surface (``repro profile``) and metric aggregation."""
 
 import json
+import re
 
 from repro.obs import (aggregate_metrics, check_breakdown, profile_source,
                        render_profile)
@@ -67,6 +68,32 @@ class TestRenderProfile:
         text = render_profile(result, snapshot, program="bug.c")
         assert "outcome: BUG:" in text
         assert "interpreter only" in text
+
+
+class TestCacheRows:
+    def test_class_rows_add_up_to_the_totals(self, tmp_path):
+        # With --elide the analysis tier does most of the lookups; every
+        # artifact class must get a row, or the rows undercount.
+        from repro.cache import CompilationCache
+        result, snapshot = profile_source(
+            HOT_PROGRAM, cache=CompilationCache(str(tmp_path)),
+            elide_checks=True)
+        text = render_profile(result, snapshot, program="hot.c")
+        section = text.split("-- compilation cache --\n", 1)[1]
+        section = section.split("\n\n", 1)[0]
+        number = r"([\d,]+)"
+        totals = re.search(
+            rf"hits: {number}\s+misses: {number}\s+"
+            rf"rejected: {number}\s+stored: {number}", section)
+        rows = re.findall(
+            rf"^\s+\w+\s+hit {number} / miss {number} / "
+            rf"reject {number} / store {number}$", section, re.MULTILINE)
+        assert totals is not None and rows
+        sums = [sum(int(row[k].replace(",", "")) for row in rows)
+                for k in range(4)]
+        assert sums == [int(value.replace(",", ""))
+                        for value in totals.groups()]
+        assert sums[1] > 0  # the cold store missed
 
 
 class TestCheckBreakdown:
