@@ -27,8 +27,15 @@ Two pipelines share this driver and must not share cache entries:
   state.  Callers must treat the module's post-lint IR as unspecified
   and re-compile if they need either the unoptimized or a fully
   promoted form.
-* ``transform=False`` (check elision): summaries only, computed on the
-  unoptimized IR the engine will actually execute.  Never mutates.
+* ``transform=False`` (check elision): summaries computed on the
+  unoptimized IR the engine will actually execute, then each member's
+  check-elision marks (:mod:`repro.opt.elide`); it changes no IR but
+  those marks.  An SCC's summaries and marks are a pure function of its
+  key, so they are also memoized on the member functions: a module that
+  shares functions with an earlier one (the linked libc) reuses them
+  wherever the key is unchanged, and recomputes marks from a clean
+  slate wherever it changed.  The lint pipeline mutates IR and gets no
+  memo.
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ import hashlib
 
 from ... import ir
 from ...ir import instructions as inst
+from ...ir import types as irt
 from ...obs.spans import span
-from ...opt import mem2reg
+from ...opt import elide, mem2reg
 from ...source import SourceLocation
 from ..heapstate import Finding, UninitAnalysis
 from ..pointers import NULL, PointerAnalysis
@@ -71,8 +79,9 @@ def analyze_module(module: ir.Module, cache=None,
 
     ``cache`` is a :class:`repro.cache.CompilationCache` (or None); with
     a cache, unchanged SCCs are restored from the ``analysis`` tier
-    instead of re-analyzed.  ``transform=False`` computes summaries only
-    (for the elision pass) and leaves the module untouched.
+    instead of re-analyzed.  ``transform=False`` computes summaries and
+    check-elision marks, and changes nothing in the module but those
+    marks.
     """
     defined = {name: function for name, function in
                module.functions.items() if function.is_definition}
@@ -83,42 +92,77 @@ def analyze_module(module: ir.Module, cache=None,
               for name, function in defined.items()}
     with span("analysis:callgraph", functions=len(defined)):
         callgraph = CallGraph(module)
-    pipeline = "m2r" if transform else "o0"
+    pipeline = "m2r" if transform else "elide"
     summaries: dict[str, FunctionSummary] = {}
     findings: list[Finding] = []
     stats = {"functions": len(defined), "sccs": len(callgraph.sccs),
              "scc_hits": 0, "scc_misses": 0}
     for scc in callgraph.sccs:
         key = _scc_key(callgraph, scc, hashes, summaries, pipeline)
+        members = [callgraph.defined[name] for name in scc]
+        if not transform and _memoized(members, key):
+            # Same key as when these marks were set: nothing to do.
+            summaries.update((function.name, function._elide_scc[1])
+                             for function in members)
+            stats["scc_hits"] += 1
+            continue
         if cache is not None:
-            decoded = _decode(cache.get_analysis(key), scc)
+            payload = cache.get_analysis(key)
+            decoded = _decode(payload, scc, None if transform else members)
             if decoded is not None:
-                scc_summaries, scc_findings = decoded
+                scc_summaries, scc_findings, scc_marks = decoded
                 summaries.update(scc_summaries)
                 findings.extend(scc_findings)
+                if not transform:
+                    for function in members:
+                        elide.apply(function, scc_marks[function.name])
+                    _memoize(members, key, summaries)
                 stats["scc_hits"] += 1
                 # Cache-hit members are NOT promoted (mem2reg costs
                 # more than the whole warm re-analysis); the module's
                 # post-lint IR is therefore unspecified — see the
                 # module docstring.
                 continue
+            if payload is not None:
+                # Verified by the store, yet it does not fit this SCC.
+                from ...cache.store import ANALYSIS
+                cache.store.note("reject", ANALYSIS, key, "memory")
+                cache.store.memory_drop(ANALYSIS, key)
         stats["scc_misses"] += 1
         scc_findings = _analyze_scc(callgraph, scc, summaries, transform)
         findings.extend(scc_findings)
+        marks = None
+        if not transform:
+            marks = {function.name: elide.annotate(function, summaries)
+                     for function in members}
+            _memoize(members, key, summaries)
         if cache is not None:
-            cache.put_analysis(key, _encode(scc, summaries, scc_findings))
+            cache.put_analysis(
+                key, _encode(scc, summaries, scc_findings, marks))
     return ModuleAnalysis(callgraph, summaries, findings, stats)
 
 
+def _memoized(members: list[ir.Function], key: str) -> bool:
+    return all(getattr(function, "_elide_scc", (None,))[0] == key
+               for function in members)
+
+
+def _memoize(members: list[ir.Function], key: str,
+             summaries: dict) -> None:
+    for function in members:
+        function._elide_scc = (key, summaries[function.name])
+
+
 def function_ir_hash(function: ir.Function) -> str:
-    """Content hash of one function's printed IR, memoized on the
-    function object."""
+    """Content hash of one function's printed IR and of the layout of
+    every named struct its values reach (the printed IR names a struct
+    but not its fields), memoized on the function object."""
     cached = getattr(function, "_cache_ir_hash", None)
     if cached is not None:
         return cached
     from ...ir.printer import print_function
-    digest = hashlib.sha256(
-        print_function(function).encode("utf-8")).hexdigest()
+    text = "\n".join([print_function(function)] + _struct_layouts(function))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         function._cache_ir_hash = digest
     except AttributeError:
@@ -126,9 +170,40 @@ def function_ir_hash(function: ir.Function) -> str:
     return digest
 
 
+def _struct_layouts(function: ir.Function) -> list[str]:
+    from ...ir.printer import print_struct
+    # A register's type is a parameter's or an instruction result's.
+    pending = [function.type]
+    for instruction in function.instructions():
+        if instruction.result is not None:
+            pending.append(instruction.result.type)
+        pending.extend(operand.type for operand in instruction.operands()
+                       if not isinstance(operand, ir.VirtualRegister))
+    seen: set[int] = set()
+    layouts: dict[str, str] = {}
+    while pending:
+        kind = pending.pop()
+        if id(kind) in seen:
+            continue
+        seen.add(id(kind))
+        if isinstance(kind, irt.PointerType):
+            pending.append(kind.pointee)
+        elif isinstance(kind, irt.ArrayType):
+            pending.append(kind.elem)
+        elif isinstance(kind, irt.FunctionType):
+            pending.append(kind.ret)
+            pending.extend(kind.params)
+        elif isinstance(kind, irt.StructType):
+            layouts[kind.name] = print_struct(kind)
+            if not kind.is_opaque:
+                pending.extend(field.type for field in kind.fields)
+    return sorted(layouts.values())
+
+
 def module_summaries(module: ir.Module, cache=None
                      ) -> dict[str, FunctionSummary]:
-    """Summaries over the *unoptimized* module, for the elision pass."""
+    """Summaries over the *unoptimized* module (the elision pipeline,
+    which also sets the module's check-elision marks)."""
     return analyze_module(module, cache=cache, transform=False).summaries
 
 
@@ -185,18 +260,23 @@ def _scc_key(callgraph: CallGraph, scc: list[str], hashes: dict,
                     external_digests)
 
 
-def _encode(scc: list[str], summaries: dict,
-            findings: list[Finding]) -> dict:
-    return {
+def _encode(scc: list[str], summaries: dict, findings: list[Finding],
+            marks: dict | None) -> dict:
+    payload = {
         "summaries": {name: summaries[name].to_dict() for name in scc
                       if name in summaries},
         "findings": [_finding_dict(finding) for finding in findings],
     }
+    if marks is not None:
+        payload["marks"] = marks
+    return payload
 
 
-def _decode(payload, scc: list[str]):
-    """(summaries, findings) from a cached payload, or None when the
-    payload does not cover this SCC (treated as a miss)."""
+def _decode(payload, scc: list[str], members: list[ir.Function] | None):
+    """(summaries, findings, marks) from a cached payload, or None when
+    the payload does not cover this SCC.  With the elision pipeline's
+    ``members``, every member's marks must fit it; the lint pipeline's
+    marks are None."""
     if not isinstance(payload, dict):
         return None
     try:
@@ -205,9 +285,15 @@ def _decode(payload, scc: list[str]):
                          for name in scc}
         scc_findings = [_finding_from_dict(entry)
                         for entry in payload["findings"]]
+        scc_marks = None
+        if members is not None:
+            scc_marks = payload["marks"]
+            if not all(elide.fits(function, scc_marks[function.name])
+                       for function in members):
+                return None
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
-    return scc_summaries, scc_findings
+    return scc_summaries, scc_findings, scc_marks
 
 
 def _finding_dict(finding: Finding) -> dict:

@@ -8,9 +8,12 @@ Two content-addressed artifact classes over one two-tier store
     ``repro.cfront`` on a hit; include-file manifest re-verified per
     lookup (:mod:`repro.cache.frontend`).
 ``analysis``
-    One call-graph SCC's interprocedural summaries and findings, keyed
-    by its members' IR hashes and the digests of the callee summaries
-    it consumed (:mod:`repro.analysis.interproc.driver`).
+    One call-graph SCC's interprocedural summaries, plus its findings
+    (lint pipeline) or its members' check-elision marks by instruction
+    ordinal (elision pipeline), keyed by the members' IR hashes and the
+    digests of the callee summaries it consumed
+    (:mod:`repro.analysis.interproc.driver`).  Marks that do not fit
+    their function are rejected like any other bad entry.
 
 Node trees and generated JIT code are not cached: nodes are closures
 over the live runtime, so no stored plan lets a process skip building

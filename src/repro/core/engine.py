@@ -147,14 +147,16 @@ class SafeSulong:
                 f"code, §5): {', '.join('@' + m for m in missing)}")
 
     def _annotate_elisions(self, module: ir.Module) -> None:
-        """Run the static proof pass once per module (idempotent, but
-        the fixpoint analyses are not free — skip repeats).  The
-        interprocedural summaries it consumes come from the ``analysis``
-        cache tier when a cache is attached."""
+        """Give the module its exact check-elision marks, once per
+        module object.  Work is per call-graph SCC: functions shared
+        with an earlier module (the linked libc) keep their marks where
+        their SCC is unchanged; other SCCs come from the ``analysis``
+        cache tier when a cache is attached, or are analyzed."""
         if getattr(module, "_elide_annotated", False):
             return
         from ..opt import elide
-        elide.run_module(module, cache=self.cache)
+        with span("opt.elide", of=module.name):
+            elide.run_module(module, cache=self.cache)
         module._elide_annotated = True
 
     # -- execution ---------------------------------------------------------------

@@ -18,7 +18,7 @@ redundant:
   exception plumbing.
 
 With interprocedural ``summaries`` (from
-:func:`repro.analysis.interproc.module_summaries`) the proofs survive
+:func:`repro.analysis.interproc.analyze_module`) the proofs survive
 calls: a call to a summarized-safe callee — one that neither frees nor
 retains its pointer arguments — no longer invalidates the liveness of
 the heap objects passed to it, and pointers returned by summarized
@@ -36,6 +36,14 @@ unmutated IR).
 The annotations are inert until a :class:`~repro.core.interpreter.
 Runtime` is created with ``elide_checks=True`` — important because the
 libc module is compiled once per process and shared across engines.
+
+:func:`run_module` works per call-graph SCC (through
+:func:`repro.analysis.interproc.analyze_module`): an SCC whose key —
+its members' IR and the summaries of the callees it consumes — is
+unchanged since the last module that shared its functions keeps its
+marks; otherwise they come from the ``analysis`` cache tier or are
+recomputed from a clean slate.  Either way each function ends up with
+exactly the marks a fresh process would give it in the current module.
 """
 
 from __future__ import annotations
@@ -49,8 +57,9 @@ from ..ir import instructions as inst
 
 
 def run(function: ir.Function, summaries: dict | None = None) -> int:
-    """Annotate one function; returns the number of instructions whose
-    checks were (fully or partly) elided.  Idempotent."""
+    """Raise the marks of one function to what the analyses prove;
+    returns the number of marks raised.  Never lowers a mark, so a
+    second call raises none — :func:`annotate` gives exact marks."""
     if not function.is_definition:
         return 0
     cfg = ControlFlowGraph(function)
@@ -89,8 +98,18 @@ def run(function: ir.Function, summaries: dict | None = None) -> int:
 
 
 def run_module(module: ir.Module, cache=None) -> int:
-    """Annotate every function, with interprocedural summaries computed
-    over the module (incrementally, when ``cache`` is given).
+    """Give every function of ``module`` its exact marks, with
+    interprocedural summaries (incrementally, when ``cache`` is given);
+    returns the number of marked instructions in the module."""
+    from ..analysis.interproc.driver import analyze_module
+    analyze_module(module, cache=cache, transform=False)
+    return sum(len(marks(function))
+               for function in module.functions.values())
+
+
+def annotate(function: ir.Function, summaries: dict) -> list[list[int]]:
+    """Recompute ``function``'s marks from a clean slate; returns them
+    as :func:`marks` does.
 
     A function whose annotations end up *level-1 only* (no level-2
     access, no proven gep) is reset to level 0: a bare level-1 mark
@@ -99,16 +118,74 @@ def run_module(module: ir.Module, cache=None) -> int:
     fusion for accesses whose gep lacks the matching non-null proof —
     so with nothing else proven the marks cost more than they save
     (this showed up as nbody's 0.98x in BENCH_elision.json)."""
-    from ..analysis.interproc.driver import module_summaries
-    summaries = module_summaries(module, cache=cache)
-    total = 0
-    for function in module.functions.values():
-        elided = run(function, summaries)
-        if elided and _level1_only(function):
-            _reset(function)
-            elided = 0
-        total += elided
-    return total
+    before = marks(function)
+    _reset(function)
+    if run(function, summaries) and _level1_only(function):
+        _reset(function)
+    after = marks(function)
+    if after != before:
+        _marks_changed(function)
+    return after
+
+
+def marks(function: ir.Function) -> list[list[int]]:
+    """``[ordinal, level]`` for every marked instruction, in
+    instruction order: a Load's or Store's ``elide`` level, or 1 for a
+    Gep with ``proven_nonnull``."""
+    encoded = []
+    for ordinal, instruction in enumerate(function.instructions()):
+        if isinstance(instruction, (inst.Load, inst.Store)):
+            if instruction.elide:
+                encoded.append([ordinal, instruction.elide])
+        elif isinstance(instruction, inst.Gep) and \
+                instruction.proven_nonnull:
+            encoded.append([ordinal, 1])
+    return encoded
+
+
+def fits(function: ir.Function, encoded) -> bool:
+    """Whether ``encoded`` (as :func:`marks` returns it, e.g. from the
+    cache) can be ``function``'s marks: ordinals in range and in
+    order, each on a Load, Store or Gep, with a level of 1–2 (only 1 on
+    a Gep)."""
+    instructions = list(function.instructions())
+    previous = -1
+    try:
+        for ordinal, level in encoded:
+            if type(ordinal) is not int or type(level) is not int or \
+                    not previous < ordinal < len(instructions):
+                return False
+            previous = ordinal
+            instruction = instructions[ordinal]
+            if isinstance(instruction, (inst.Load, inst.Store)):
+                if level not in (1, 2):
+                    return False
+            elif not isinstance(instruction, inst.Gep) or level != 1:
+                return False
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def apply(function: ir.Function, encoded: list[list[int]]) -> None:
+    """Replace ``function``'s marks with ``encoded``, which
+    :func:`fits` it."""
+    if marks(function) == encoded:
+        return
+    _reset(function)
+    instructions = list(function.instructions())
+    for ordinal, level in encoded:
+        instruction = instructions[ordinal]
+        if isinstance(instruction, inst.Gep):
+            instruction.proven_nonnull = True
+        else:
+            instruction.elide = level
+    _marks_changed(function)
+
+
+def _marks_changed(function: ir.Function) -> None:
+    # The memoized safe-O2 clone copied the old marks when it was made.
+    function.__dict__.pop("_safe_o2_clone", None)
 
 
 def _level1_only(function: ir.Function) -> bool:

@@ -79,6 +79,20 @@ class TestChromeTraceSchema:
         assert {"preprocess", "parse", "typecheck", "irgen", "link",
                 "prepare", "execute"} <= names
 
+    def test_worker_job_with_elision_returns_an_elide_span(self):
+        from repro.harness.worker import run_job
+        data = run_job({"tool": "safe-sulong", "trace_spans": True,
+                        "source": "int main(void){ int x = 1; return x; }",
+                        "filename": "elided.c",
+                        "options": {"elide_checks": True}})
+        elide_spans = [event for event in data["spans"]
+                       if event["name"] == "opt.elide"]
+        assert [event["args"]["of"] for event in elide_spans] == \
+            ["elided.c"]
+        execute = next(event for event in data["spans"]
+                       if event["name"] == "execute")
+        assert elide_spans[0]["ts"] < execute["ts"]
+
     def test_streamed_file_is_valid_json_after_close(self, tmp_path):
         path = str(tmp_path / "trace.json")
         recorder = SpanRecorder(path=path)
