@@ -226,13 +226,13 @@ class Preprocessor:
                 try:
                     with open(candidate, "r", encoding="utf-8") as handle:
                         text = handle.read()
+                    digest = hashlib.sha256(
+                        text.encode("utf-8")).hexdigest()
                     self.included_files.append(
-                        (os.path.abspath(candidate),
-                         hashlib.sha256(
-                             text.encode("utf-8")).hexdigest()))
-                    tokens = lexer.tokenize(text, candidate)
-                    self._process_lines(_split_lines(tokens),
-                                        os.path.dirname(candidate), out)
+                        (os.path.abspath(candidate), digest))
+                    lines = _header_lines(candidate, text, digest)
+                    self._process_lines(lines, os.path.dirname(candidate),
+                                        out)
                 finally:
                     self.include_depth -= 1
                 return
@@ -488,6 +488,28 @@ def _apply(op: str, lhs: int, rhs: int, loc: SourceLocation) -> int:
         "%": lambda a, b: a - int(a / b) * b,
     }
     return table[op](lhs, rhs)
+
+
+# The logical lines of every file ``#include`` lexed in this process,
+# keyed by the filename the lexer stamps into token locations and the
+# sha256 of the text.  Lexing is a pure function of the two, and no code
+# changes a token after lexing (expansion copies a token before it sets
+# its location or hide set), so conditionals and macro expansion run
+# over the shared tokens exactly as over fresh ones.  Oldest out first.
+_HEADER_LINES: dict[tuple[str, str], list[list[Token]]] = {}
+_HEADER_LINES_MAX = 64
+
+
+def _header_lines(filename: str, text: str,
+                  digest: str) -> list[list[Token]]:
+    key = (filename, digest)
+    lines = _HEADER_LINES.get(key)
+    if lines is None:
+        lines = _split_lines(lexer.tokenize(text, filename))
+        if len(_HEADER_LINES) >= _HEADER_LINES_MAX:
+            _HEADER_LINES.pop(next(iter(_HEADER_LINES)), None)
+        _HEADER_LINES[key] = lines
+    return lines
 
 
 def _split_lines(tokens: list[Token]) -> list[list[Token]]:

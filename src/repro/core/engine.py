@@ -132,9 +132,9 @@ class SafeSulong:
                                      include_dirs=[include_dir()],
                                      defines={"__SAFE_SULONG__": "1"})
         if self.use_libc:
+            libc = libc_module(cache=cache)
             with span("link", module=filename):
-                program = libc_module(cache=cache).link(program,
-                                                        name=filename)
+                program = libc.link(program, name=filename)
         self._check_resolvable(program)
         return program
 

@@ -8,6 +8,8 @@ machine with or without sanitizer instrumentation.
 
 from __future__ import annotations
 
+import itertools
+
 from . import types as ty
 from .instructions import Instruction, Phi
 from .values import GlobalValue, GlobalVariable, VirtualRegister
@@ -53,6 +55,10 @@ class Function(GlobalValue):
     Declarations (``is_definition == False``) must be resolved at link time
     or provided as intrinsics by the runtime.
     """
+
+    # Stamp of the last link that re-pointed one of this function's
+    # operands (0: none has).
+    _repointed = 0
 
     def __init__(self, name: str, ftype: ty.FunctionType,
                  param_names: list[str] | None = None, loc=None):
@@ -122,6 +128,9 @@ class Module:
         self.globals: dict[str, GlobalVariable] = {}
         self.functions: dict[str, Function] = {}
         self.structs: dict[str, ty.StructType] = {}
+        # Stamp of a link after which every Function operand of every
+        # function here was this module's own entry (None: unknown).
+        self._resolved: int | None = None
 
     def add_global(self, gvar: GlobalVariable) -> GlobalVariable:
         if gvar.name in self.globals:
@@ -170,7 +179,22 @@ class Module:
                             f"duplicate definition of @{func.name}")
                     linked.functions[func.name] = func
         # Re-point calls that referenced declarations at the definitions.
-        _resolve_references(linked)
+        # An input is walked only if this link replaced one of its
+        # entries, no link has vouched for it yet, or a link re-pointed
+        # one of its functions since (functions are shared with every
+        # module linked from them).  A program linked against libc walks
+        # only the program.
+        stamp = next(_LINK_STAMPS)
+        for module in (self, other):
+            replaced = any(linked.functions[fname] is not func
+                           for fname, func in module.functions.items())
+            if replaced or module._resolved is None or any(
+                    func._repointed > module._resolved
+                    for func in module.functions.values()):
+                _resolve_references(module, linked.functions, stamp)
+                if not replaced:
+                    module._resolved = stamp
+        linked._resolved = stamp
         return linked
 
     def undefined_functions(self) -> list[str]:
@@ -183,11 +207,14 @@ class Module:
                 f"{len(self.globals)} globals>")
 
 
-def _resolve_references(module: Module) -> None:
-    """After linking, rewrite operands that point at stale Function
-    declaration objects so they reference the canonical entry in
-    ``module.functions``."""
-    canonical = module.functions
+_LINK_STAMPS = itertools.count(1)
+
+
+def _resolve_references(module: Module, canonical: dict[str, Function],
+                        stamp: int) -> None:
+    """Rewrite operands of ``module``'s functions that point at a
+    Function other than ``canonical``'s entry of that name, and stamp
+    each function so rewritten."""
     for func in module.functions.values():
         for inst in func.instructions():
             for op in list(inst.operands()):
@@ -195,3 +222,7 @@ def _resolve_references(module: Module) -> None:
                     current = canonical.get(op.name)
                     if current is not None and current is not op:
                         inst.replace_operand(op, current)
+                        func._repointed = stamp
+                        # Its memoized safe-O2 clone (opt.pipeline)
+                        # still calls the old callee.
+                        func.__dict__.pop("_safe_o2_clone", None)

@@ -84,14 +84,21 @@ def _store_bundle(cache, module: ir.Module) -> None:
 
 
 def libc_module(force_reload: bool = False, cache=None) -> ir.Module:
+    """The process's libc module; only an actual load (from the cache's
+    bundle) or compile is traced, as ``libc.bundle``."""
     global _CACHED
     if _CACHED is not None and not force_reload:
         return _CACHED
-    if cache is not None:
-        loaded = _load_bundle(cache)
-        if loaded is not None:
-            _CACHED = loaded
-            return _CACHED
+    from ..obs.spans import span
+    with span("libc.bundle"):
+        module = _load_bundle(cache) if cache is not None else None
+        if module is None:
+            module = _compile(cache)
+    _CACHED = module
+    return module
+
+
+def _compile(cache) -> ir.Module:
     combined: ir.Module | None = None
     for path in source_files():
         module = compile_file(path, include_dirs=[include_dir()],
@@ -102,8 +109,7 @@ def libc_module(force_reload: bool = False, cache=None) -> ir.Module:
     combined.name = "libc"
     if cache is not None:
         _store_bundle(cache, combined)
-    _CACHED = combined
-    return _CACHED
+    return combined
 
 
 def function_count() -> int:

@@ -152,10 +152,13 @@ def run_safe_o2(module: ir.Module) -> None:
 
 def optimized_clone(function: ir.Function) -> ir.Function:
     """The safe-O2-optimized private copy of ``function``, memoized on
-    the original (originals are immutable once the front end is done,
-    so one clone serves every runtime in the process).  If any pass
-    fails, the original is returned — slower, never wrong — and the
-    failure is recorded on the function for tests to inspect."""
+    the original so that one clone serves every runtime in the
+    process.  An original changes after the front end in two ways, and
+    each drops the memo: new elision marks (``opt.elide``), and a link
+    that re-points one of its callees (``ir.Module.link``, e.g. libc's
+    ``strdup`` at a program's own ``malloc``).  If any pass fails, the
+    original is returned — slower, never wrong — and the failure is
+    recorded on the function for tests to inspect."""
     cached = getattr(function, "_safe_o2_clone", None)
     if cached is not None:
         return cached

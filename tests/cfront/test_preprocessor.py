@@ -133,3 +133,54 @@ class TestBuiltinsAndIncludes:
             '#include <stddef.h>\n#include <stddef.h>\nint x;', "t.c")
         text = " ".join(t.text for t in tokens)
         assert text.count("typedef unsigned long size_t") == 1
+
+
+class TestHeaderMemo:
+    """Each included file is lexed once per process for a given text;
+    what the preprocessor does with the shared tokens is unchanged."""
+
+    @staticmethod
+    def include(directory, name, defines=None):
+        pp = Preprocessor(include_dirs=[str(directory)], defines=defines)
+        tokens = pp.process_text(f"#include <{name}>\n", "t.c")
+        return " ".join(t.text for t in tokens), pp.included_files
+
+    def test_header_rewritten_in_place_is_lexed_again(self, tmp_path):
+        header = tmp_path / "rewritten.h"
+        header.write_text("int first;\n")
+        before, before_files = self.include(tmp_path, "rewritten.h")
+        header.write_text("int second;\n")
+        after, after_files = self.include(tmp_path, "rewritten.h")
+        assert (before, after) == ("int first ;", "int second ;")
+        assert before_files[0][0] == after_files[0][0]
+        assert before_files[0][1] != after_files[0][1]
+
+    def test_one_header_expands_per_defines(self, tmp_path, monkeypatch):
+        from repro.cfront import lexer
+        (tmp_path / "sized.h").write_text(
+            "#ifdef WIDE\nlong x;\n#else\nshort x;\n#endif\nT y;\n")
+        lexed = []
+        tokenize = lexer.tokenize
+        monkeypatch.setattr(
+            lexer, "tokenize",
+            lambda text, filename: lexed.append(filename)
+            or tokenize(text, filename))
+        wide = {"WIDE": "1", "T": "int"}
+        assert self.include(tmp_path, "sized.h", wide)[0] == \
+            "long x ; int y ;"
+        assert self.include(tmp_path, "sized.h", {"T": "char"})[0] == \
+            "short x ; char y ;"
+        assert self.include(tmp_path, "sized.h", wide)[0] == \
+            "long x ; int y ;"
+        assert lexed.count(str(tmp_path / "sized.h")) == 1
+
+    def test_error_in_header_has_one_location_on_hit_and_miss(
+            self, tmp_path):
+        (tmp_path / "stop.h").write_text("int a;\n#error stop here\n")
+        reports = []
+        for _attempt in range(2):
+            with pytest.raises(PreprocessorError) as info:
+                self.include(tmp_path, "stop.h")
+            reports.append((str(info.value), info.value.loc))
+        assert reports[0] == reports[1]
+        assert reports[0][0].startswith(str(tmp_path / "stop.h") + ":2:")

@@ -169,3 +169,86 @@ class TestPrinter:
         text = ir.print_module(module)
         assert "define i32 @id(i32 %x)" in text
         assert "ret i32 %x" in text
+
+
+# A program that defines a function libc only declares: linking it
+# re-points libc's own calls (strdup's call of malloc) at the program.
+DEFINES_MALLOC = """
+#include <stddef.h>
+#include <string.h>
+static char pool[256];
+static size_t used;
+void *malloc(size_t size) {
+    void *p = pool + used;
+    used += size;
+    return p;
+}
+int main(void) { return strdup("abc")[2] == 'c' ? 0 : 1; }
+"""
+CALLS_STRDUP = """
+#include <string.h>
+int main(void) { return strdup("hi")[1] == 'i' ? 0 : 1; }
+"""
+
+
+def stale_references(module):
+    """(function, callee) for every Function operand that is not the
+    module's own entry of that name.  Printed IR names callees by name,
+    so only this identity check can see a stale reference."""
+    return [(func.name, op.name)
+            for func in module.functions.values()
+            for instruction in func.instructions()
+            for op in instruction.operands()
+            if isinstance(op, ir.Function)
+            and module.functions[op.name] is not op]
+
+
+def calls_hook(module_name):
+    """A module whose ``caller`` calls its own declaration of ``hook``."""
+    module = ir.Module(module_name)
+    hook = module.add_function(
+        ir.Function("hook", ty.FunctionType(ty.I32, [ty.I32])))
+    caller = ir.Function("caller", ty.FunctionType(ty.I32, []))
+    builder = ir.IRBuilder(caller)
+    builder.set_block(builder.new_block("entry"))
+    builder.ret(builder.call(hook, [ir.ConstInt(ty.I32, 1)]))
+    module.add_function(caller)
+    return module
+
+
+def defines(name):
+    module = ir.Module(name)
+    module.add_function(make_identity("hook"))
+    return module
+
+
+class TestLinkInvariant:
+    def test_libc_relinked_after_a_program_that_defines_malloc(
+            self, monkeypatch):
+        from repro.cfront import compile_source
+        from repro.libc import include_dir, libc_module, loader
+        monkeypatch.setattr(loader, "_CACHED", loader._CACHED)
+        libc = libc_module(force_reload=True)
+
+        # Linked modules share libc's functions, so each is checked
+        # before the next link re-points them.
+        for source, name in ((DEFINES_MALLOC, "a.c"), (CALLS_STRDUP, "b.c"),
+                             (CALLS_STRDUP, "c.c")):
+            program = compile_source(source, filename=name,
+                                     include_dirs=[include_dir()],
+                                     defines={"__SAFE_SULONG__": "1"})
+            linked = libc.link(program, name=name)
+            assert linked.functions["malloc"].is_definition == \
+                (name == "a.c")
+            assert stale_references(linked) == [], name
+        assert stale_references(libc) == []
+
+    def test_function_re_pointed_through_another_module(self):
+        # ``lib``'s caller is shared with ``combined``; relinking
+        # ``combined`` against a definition of hook re-points it, so
+        # the next link of ``lib`` itself must walk it back.
+        lib = calls_hook("lib")
+        combined = lib.link(ir.Module("empty"))
+        assert stale_references(combined.link(defines("app"))) == []
+        assert stale_references(lib.link(ir.Module("other"))) == []
+        assert stale_references(lib) == []

@@ -79,6 +79,19 @@ class TestChromeTraceSchema:
         assert {"preprocess", "parse", "typecheck", "irgen", "link",
                 "prepare", "execute"} <= names
 
+    def test_libc_load_is_not_timed_as_link(self, monkeypatch):
+        from repro.core import SafeSulong
+        from repro.libc import loader
+        monkeypatch.setattr(loader, "_CACHED", None)
+        recorder = SpanRecorder()
+        set_recorder(recorder)
+        SafeSulong().compile("int main(void){ return 0; }", filename="t.c")
+        events = recorder.snapshot()
+        [bundle] = [event for event in events
+                    if event["name"] == "libc.bundle"]
+        [link] = [event for event in events if event["name"] == "link"]
+        assert bundle["ts"] + bundle["dur"] <= link["ts"]
+
     def test_worker_job_with_elision_returns_an_elide_span(self):
         from repro.harness.worker import run_job
         data = run_job({"tool": "safe-sulong", "trace_spans": True,

@@ -315,3 +315,45 @@ class TestGolden:
             f"safe-O2 output drifted for {len(drifted)} functions "
             f"(first: {drifted[:5]}); if the change is intentional, "
             "regenerate with REPRO_UPDATE_GOLDEN=1")
+
+
+# Defines malloc over a static pool, so linking it re-points libc's
+# strdup at this malloc; the safe-O2 clone of strdup then calls it.
+DEFINES_MALLOC = """
+#include <stddef.h>
+#include <string.h>
+static char pool[256];
+static size_t used;
+void *malloc(size_t size) {
+    void *p = pool + used;
+    used += size;
+    return p;
+}
+int main(void) { return strdup("abc")[2] == 'c' ? 0 : 1; }
+"""
+HEAP_OVERFLOW = """
+#include <string.h>
+int main(void) {
+    char *p = strdup("hi");
+    p[3] = 'x';
+    return 0;
+}
+"""
+
+
+class TestCloneAfterRelink:
+    def test_next_program_reports_as_if_run_alone(self, monkeypatch):
+        from repro.libc import loader
+        monkeypatch.setattr(loader, "_CACHED", loader._CACHED)
+
+        def report(source):
+            result = SafeSulong(speculate=True,
+                                jit_threshold=3).run_source(source)
+            return result.status, [str(bug) for bug in result.bugs]
+
+        libc_module(force_reload=True)
+        alone = report(HEAP_OVERFLOW)
+        assert "out-of-bounds write" in alone[1][0]
+        libc_module(force_reload=True)
+        assert report(DEFINES_MALLOC) == (0, [])
+        assert report(HEAP_OVERFLOW) == alone
