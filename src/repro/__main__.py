@@ -799,7 +799,8 @@ _ENGINE_FLAGS = {
     "--elide": ("elide_checks", None,
                 "enable proven-safe check elision (safe-sulong)"),
     "--speculate": ("speculate", None,
-                    "enable speculative check elision with deopt; implies "
+                    "run the safe-O2 clone, and let JIT-compiled loops "
+                    "elide checks speculatively with deopt; implies "
                     "--elide, and hunt and serve degrade it to --elide "
                     "(safe-sulong)"),
     "--heap-dump": ("track_heap", None,
@@ -922,10 +923,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--hot-checks", type=int, default=0,
                                 metavar="N",
                                 help="print the top-N check sites by "
-                                     "executed-check count with "
-                                     "fired/never-fired status — the "
-                                     "exact evidence the speculative "
-                                     "eliser consumes (implies --lines)")
+                                     "executed-check count, marking "
+                                     "those that detected a bug "
+                                     "(implies --lines)")
     profile_parser.add_argument("--trace-spans", default=None,
                                 metavar="PATH",
                                 help="write compile/execute phase spans "

@@ -125,7 +125,9 @@ MANAGED_CONFIGURATIONS = {
     "safe-sulong-interp-elide": (EngineConfig(elide_checks=True), None, {}),
     # The pre-superinstruction dispatch baseline (BENCH_speculate.json).
     "safe-sulong-interp-nofuse": (_INTERP, None, {"fuse": False}),
-    # The treatment side of benchmarks/test_speculative_elision.py.
+    # The treatment side of benchmarks/test_speculative_elision.py:
+    # interpreted, so the safe-O2 clone with static elision (only
+    # compiled code speculates).
     "safe-sulong-interp-speculate": (EngineConfig(speculate=True), None,
                                      {}),
     # Observability costs.  A disabled observer must specialize to the

@@ -93,10 +93,8 @@ class SafeSulong:
                  max_steps: int | None = None,
                  use_libc: bool = True,
                  observer=None, cache=None,
-                 speculation_profile: dict | None = None,
                  fuse: bool = True, **options):
         self.config = config._replace(**options)
-        self.speculation_profile = speculation_profile
         # Superinstruction fusion in the interpreter's prepare step.
         # Benchmarks pass fuse=False to time the one-node-per-
         # instruction dispatch baseline.
@@ -183,7 +181,6 @@ class SafeSulong:
             max_call_depth=config.max_call_depth,
             max_output_bytes=config.max_output_bytes,
             observer=self.observer, speculate=speculate,
-            speculation_profile=self.speculation_profile,
             fuse=self.fuse, **runtime_options)
 
     def run_module(self, module: ir.Module, argv: list[str] | None = None,

@@ -71,7 +71,8 @@ class PreparedFunction:
         self.compiled = None  # installed by the JIT tier
         self.obs_instructions = 0  # retired here, observer-enabled only
         # Speculative tier: the original function when ``function`` is a
-        # safe-O2 clone; the SpeculationState when guards are installed.
+        # safe-O2 clone; the SpeculationState (loop plans) the JIT
+        # compiled into ``compiled``.
         self.source_function: ir.Function | None = None
         self.speculation = None
         # Recycled Frame objects (interpret's fast path).  SSA form
@@ -96,7 +97,6 @@ class Runtime:
                  max_output_bytes: int | None = None,
                  observer=None,
                  speculate: bool = False,
-                 speculation_profile: dict | None = None,
                  fuse: bool = True):
         self.module = module
         # Observability (obs/observer.py).  ``_obs`` is None unless an
@@ -136,12 +136,10 @@ class Runtime:
         self.jit_threshold = jit_threshold
         self.track_heap = track_heap
         # Speculative tier (opt/speculate.py): functions are prepared
-        # from their safe-O2 clone, eligible counted loops get guarded
-        # fast paths, and compiled code may deopt via DeoptSignal.
-        # ``guard_trips`` counts interpreter guard failures (local slow-
-        # path fallback); ``deopts`` counts compiled-code invalidations.
+        # from their safe-O2 clone, and the JIT compiles eligible counted
+        # loops to one guard plus raw accesses.  A failed guard deopts
+        # (DeoptSignal); ``guard_trips`` and ``deopts`` both count it.
         self.speculate = speculate
-        self.speculation_profile = speculation_profile
         self.guard_trips = 0
         self.deopts = 0
         # Superinstruction fusion (prepare-time pair merging).  On by
@@ -372,12 +370,11 @@ class Runtime:
 
     def _deoptimize(self, prepared: PreparedFunction) -> None:
         """A compiled speculation guard failed before any side effect:
-        throw the artifact away and keep the function interpreted (where
-        the same guard fails into the local full-checks path)."""
+        throw the compiled code away; the call re-runs, and the function
+        stays, on the fully checked interpreter."""
         prepared.compiled = None
+        self.guard_trips += 1
         self.deopts += 1
-        self.compile_bailouts.append(
-            (prepared.name, "deoptimized: speculation guard failed"))
         if self._obs is not None:
             self._obs.emit("deopt", function=prepared.name)
 
@@ -610,24 +607,21 @@ def prepare_function(runtime: Runtime, function: ir.Function) -> PreparedFunctio
     # (cmp+br, gep+load, gep+store) into one node.  Fused nodes cannot
     # count per-instruction, so fusion only runs without an observer —
     # counting runs keep the exact one-node-per-instruction tree.
-    fuse = runtime._obs is None and runtime.fuse
-    reg_slots = prepare_body(prepared, _NodeBuilder, runtime, fuse)
-    if runtime.speculate and runtime._obs is None \
-            and not runtime.detect_use_after_scope:
-        # Exact-counting (observer) runs and use-after-scope hunts keep
-        # the unspeculated node tree; everything else gets guarded fast
-        # loop copies, which must address the exact same frame layout.
-        _install_speculation(runtime, prepared, reg_slots)
+    prepare_body(prepared, _NodeBuilder, runtime,
+                 runtime._obs is None and runtime.fuse)
     return prepared
 
 
 def prepare_body(prepared: PreparedFunction, builder_class, runtime,
-                 fuse: bool) -> dict[int, int]:
+                 fuse: bool) -> None:
     """Build the node tree of ``prepared.function`` with a
     ``builder_class`` over ``runtime`` (the interpreter's or the native
-    machine's).  Parameters take the first frame slots; every other
-    register takes the next free slot at its first use.  Returns the
-    ``id(register)`` -> slot map."""
+    machine's): one node per instruction, and each block's phis as the
+    moves they make on entry, keyed by the predecessor's block index.
+    With ``fuse``, an instruction fuses with the next one into a
+    superinstruction where :meth:`_NodeBuilder.try_fuse` allows.
+    Parameters take the first frame slots; every other register takes
+    the next free slot at its first use."""
     function = prepared.function
     reg_index: dict[int, int] = {}
 
@@ -643,48 +637,20 @@ def prepare_body(prepared: PreparedFunction, builder_class, runtime,
     block_index = {block: i for i, block in enumerate(function.blocks)}
     builder = builder_class(runtime, index_of, block_index)
     use_counts = _use_counts(function) if fuse else None
-    prepared.blocks = [prepare_block(builder, block, use_counts)
-                       for block in function.blocks]
-    add_phi_moves(builder, zip(function.blocks, prepared.blocks))
-    prepared.nregs = len(reg_index)
-    return reg_index
-
-
-def prepare_block(builder: "_NodeBuilder", block: ir.Block,
-                  use_counts: dict | None = None,
-                  site_nodes: dict | None = None,
-                  drops: set | None = None) -> PreparedBlock:
-    """One node per instruction of ``block``; phis are left to
-    :func:`add_phi_moves`.  With ``use_counts``, an instruction fuses
-    with the next one into a superinstruction where
-    :meth:`_NodeBuilder.try_fuse` allows.  The speculation installer
-    passes ``site_nodes`` (``id(instruction)`` -> raw access node) and
-    ``drops`` (ids of instructions to leave out); nothing fuses with an
-    instruction in either."""
-    site_nodes = site_nodes or {}
-    drops = drops or ()
-    pblock = PreparedBlock(block.label)
-    instructions = block.instructions
-    count = len(instructions)
-    pos = 0
-    while pos < count:
-        instruction = instructions[pos]
-        pos += 1
-        if isinstance(instruction, inst.Phi):
-            continue
-        if instruction.is_terminator:
-            pblock.terminator = builder.terminator(instruction)
-            continue
-        iid = id(instruction)
-        if iid in drops:
-            continue
-        fast = site_nodes.get(iid)
-        if fast is not None:
-            pblock.steps.append(fast)
-            continue
-        if use_counts is not None and pos < count:
-            following = id(instructions[pos])
-            if following not in site_nodes and following not in drops:
+    for block in function.blocks:
+        pblock = PreparedBlock(block.label)
+        instructions = block.instructions
+        count = len(instructions)
+        pos = 0
+        while pos < count:
+            instruction = instructions[pos]
+            pos += 1
+            if isinstance(instruction, inst.Phi):
+                continue
+            if instruction.is_terminator:
+                pblock.terminator = builder.terminator(instruction)
+                continue
+            if use_counts is not None and pos < count:
                 fused = builder.try_fuse(instruction, instructions[pos],
                                          use_counts)
                 if fused is not None:
@@ -695,22 +661,17 @@ def prepare_block(builder: "_NodeBuilder", block: ir.Block,
                     else:
                         pblock.steps.append(node)
                     continue
-        pblock.steps.append(builder.step(instruction))
-    pblock.ninstr = len(pblock.steps) + 1
-    return pblock
-
-
-def add_phi_moves(builder: "_NodeBuilder", pairs) -> None:
-    """For each (IR block, prepared block) pair, the moves its phis make
-    on entry, keyed by the predecessor's index in
-    ``builder.block_index``."""
-    for block, pblock in pairs:
+            pblock.steps.append(builder.step(instruction))
+        pblock.ninstr = len(pblock.steps) + 1
+        prepared.blocks.append(pblock)
+    for block, pblock in zip(function.blocks, prepared.blocks):
         for phi in block.phis():
-            dst = builder.index_of(phi.result)
+            dst = index_of(phi.result)
             for pred_block, value in phi.incoming:
                 pblock.phi_moves.setdefault(
-                    builder.block_index[pred_block], []).append(
+                    block_index[pred_block], []).append(
                         (dst, builder.getter(value)))
+    prepared.nregs = len(reg_index)
 
 
 def _use_counts(function: ir.Function) -> dict[int, int]:
@@ -1799,275 +1760,3 @@ def _is_nullish(value) -> bool:
         return True
     return (type(value) is mo.Address and value.pointee is None
             and value.offset == 0)
-
-
-# ---------------------------------------------------------------------------
-# Speculative check elision (interpreter tier)
-# ---------------------------------------------------------------------------
-
-def _install_speculation(runtime: Runtime, prepared: PreparedFunction,
-                         reg_slots: dict[int, int]) -> None:
-    """Attach guarded fast-loop copies to a prepared function whose
-    frame layout is ``reg_slots`` (``id(register)`` -> slot).
-
-    For every plan from :mod:`repro.opt.speculate`, the loop's blocks
-    are re-prepared (:func:`prepare_block`) as *fast clones* appended
-    after the original blocks: speculated accesses become raw element
-    indexing on the array's backing list, their single-use GEPs
-    disappear, and everything else is rebuilt unchanged (with
-    superinstruction fusion).  The original
-    preheader's terminator is wrapped — when it targets the loop header
-    and the guard passes, execution enters the clone instead.  A failing
-    guard bumps ``runtime.guard_trips`` and runs the original fully
-    checked blocks, so the interpreter tier never unwinds (no
-    DeoptSignal here; that is the compiled tier's mechanism).
-    """
-    if prepared.speculation is not None:
-        return  # idempotent: cached PreparedFunctions pass through again
-    function = prepared.function
-    from ..opt import speculate as spec
-    profile = runtime.speculation_profile
-    state = getattr(function, "_spec_state_memo", None) \
-        if profile is None else None
-    if state is None:
-        state = spec.SpeculationState(
-            spec.analyze_function(function, profile))
-        if profile is None:
-            # Analysis depends only on the (immutable) IR and the
-            # profile; memoize the profile-free result across runtimes.
-            try:
-                function._spec_state_memo = state
-            except AttributeError:
-                pass
-    plans = state.plans
-    prepared.speculation = state
-    if not plans:
-        return
-    block_index = {block: i for i, block in enumerate(function.blocks)}
-    use_counts = _use_counts(function)
-    next_slot = prepared.nregs
-    for plan in plans:
-        try:
-            next_slot = _install_plan(runtime, prepared, plan, reg_slots,
-                                      block_index, use_counts, next_slot)
-        except KeyError:
-            # A register outside the prepared frame layout: leave this
-            # loop unspeculated rather than guess at slot numbers.
-            continue
-    prepared.nregs = next_slot
-
-
-def _install_plan(runtime, prepared, plan, reg_slots, block_index,
-                  use_counts, next_slot):
-    """Build and splice the fast clone for one loop plan.  Everything
-    that can fail (KeyError on an unmapped register) happens before any
-    mutation of ``prepared``, so an aborted plan leaves no trace."""
-
-    def frozen_index_of(reg):
-        return reg_slots[id(reg)]  # KeyError aborts the plan
-
-    body = sorted(plan.body, key=lambda block: block_index[block])
-    clone_index = {}
-    shadow = dict(block_index)
-    for block in body:
-        clone_index[block] = len(prepared.blocks) + len(clone_index)
-        shadow[block] = clone_index[block]
-    builder = _NodeBuilder(runtime, frozen_index_of, shadow)
-
-    phi_slot = frozen_index_of(plan.phi.result)
-    checks = []
-    site_nodes = {}
-    drops = set()
-    for group in plan.groups:
-        # Two guard-written slots per group: the array's backing list
-        # and the base element index.
-        data_slot = next_slot
-        base_slot = next_slot + 1
-        next_slot += 2
-        checks.append((builder.getter(group.base), group.stride,
-                       group.elem, group.kind == "int", group.lo,
-                       group.hi, data_slot, base_slot))
-        spe = group.stride // group.elem
-        for site in group.sites:
-            site_nodes[id(site.instruction)] = _fast_site_node(
-                builder, site, group, data_slot, base_slot, phi_slot, spe)
-            if site.drop_gep:
-                drops.add(id(site.gep))
-    drops.update(plan.dead)
-
-    guard = _make_guard(plan, builder, checks)
-
-    # Speculated sites become raw accesses and their single-use GEPs
-    # fold into them; everything else is rebuilt, with fusion.
-    clones = [(block, prepare_block(builder, block, use_counts,
-                                    site_nodes, drops))
-              for block in body]
-    # Phi moves inside the clone: same moves, predecessor keys remapped
-    # through the shadow index (preheader keeps its original index; loop
-    # predecessors become their clone indices).
-    add_phi_moves(builder, clones)
-
-    # ---- all fallible work done; splice into the prepared function ----
-    function = prepared.function
-    prepared.blocks.extend(pblock for _, pblock in clones)
-
-    # Blocks outside the loop can have phis fed by loop blocks (exit
-    # phis): when control arrives from a clone, the same moves apply
-    # under the clone's index.
-    for block in function.blocks:
-        if block in plan.body:
-            continue
-        pblock = prepared.blocks[block_index[block]]
-        if not pblock.phi_moves:
-            continue
-        for body_block, clone_idx in clone_index.items():
-            moves = pblock.phi_moves.get(block_index[body_block])
-            if moves is not None:
-                pblock.phi_moves[clone_idx] = moves
-
-    header_idx = block_index[plan.header]
-    fast_idx = clone_index[plan.header]
-    pre_block = prepared.blocks[block_index[plan.preheader]]
-    original = pre_block.terminator
-
-    def terminator(frame, _orig=original, _guard=guard, _h=header_idx,
-                   _f=fast_idx, _rt=runtime):
-        target = _orig(frame)
-        if target == _h:  # tuples (returns) never equal an int index
-            if _guard(frame):
-                return _f
-            _rt.guard_trips += 1
-        return target
-    pre_block.terminator = terminator
-    return next_slot
-
-
-def _make_guard(plan, builder, checks):
-    """The loop-invariant guard run at the preheader→header edge.  On
-    success it caches each group's backing list + base element index in
-    guard slots and returns True; any failure returns False (fall back
-    to the fully checked original blocks)."""
-    init_get = builder.getter(plan.init)
-    limit_get = builder.getter(plan.limit)
-    step = plan.step
-    bits = plan.bits
-    signed = plan.predicate in ("slt", "sle")
-    inclusive = plan.predicate in ("sle", "ule")
-    half = 1 << (bits - 1)
-    # Both the latch increment and any folded ``i + c`` site index must
-    # stay below the signed midpoint; a zero-extended ``i - c`` must
-    # never see a negative intermediate (init_floor).
-    reach = max(step, plan.guard_addend)
-    init_floor = plan.init_floor
-
-    def guard(frame):
-        init = init_get(frame)
-        limit = limit_get(frame)
-        if type(init) is not int or type(limit) is not int:
-            return False
-        if signed:
-            init = to_signed(init, bits)
-            limit = to_signed(limit, bits)
-        if init < init_floor:
-            return False
-        bound = limit if inclusive else limit - 1
-        if bound < init:
-            # Zero-trip: only the header (and any sites in it) runs,
-            # once, with the induction at its initial value.
-            last = init
-        else:
-            last = init + ((bound - init) // step) * step
-        if last + reach >= half:
-            # The masked induction could wrap (or, signed, go negative):
-            # raw register values would stop matching true values.
-            return False
-        regs = frame.regs
-        for (base_get, stride, elem, is_int, lo, hi, data_slot,
-             base_slot) in checks:
-            base = base_get(frame)
-            if type(base) is not mo.Address:
-                return False
-            obj = base.pointee
-            if is_int:
-                if not isinstance(obj, mo.IntArrayObject):
-                    return False
-            elif not isinstance(obj, mo.FloatArrayObject):
-                return False
-            data = obj.data
-            if data is None or obj.elem_size != elem:
-                return False
-            off0 = base.offset
-            if off0 % elem:
-                return False
-            if off0 + init * stride + lo < 0:
-                return False
-            if off0 + last * stride + hi + elem > len(data) * elem:
-                return False
-            regs[data_slot] = data
-            regs[base_slot] = off0 // elem
-        return True
-    return guard
-
-
-def _fast_site_node(builder, site, group, data_slot, base_slot, phi_slot,
-                    spe):
-    """Raw element access for one speculated site.  Mirrors the typed
-    arrays' aligned fast paths exactly (mask on integer load, width mask
-    on integer store, raw floats) — under the guard no check can fire,
-    so none is evaluated."""
-    ce = site.const_offset // group.elem
-    if site.is_store:
-        value = builder.getter(site.instruction.value)
-        if group.kind == "int":
-            mask = (1 << (8 * group.elem)) - 1
-            if spe == 1 and ce == 0:
-                def node(frame):
-                    regs = frame.regs
-                    regs[data_slot][regs[base_slot] + regs[phi_slot]] = \
-                        value(frame) & mask
-                return node
-
-            def node(frame):
-                regs = frame.regs
-                regs[data_slot][regs[base_slot] + regs[phi_slot] * spe
-                                + ce] = value(frame) & mask
-            return node
-        if spe == 1 and ce == 0:
-            def node(frame):
-                regs = frame.regs
-                regs[data_slot][regs[base_slot] + regs[phi_slot]] = \
-                    value(frame)
-            return node
-
-        def node(frame):
-            regs = frame.regs
-            regs[data_slot][regs[base_slot] + regs[phi_slot] * spe
-                            + ce] = value(frame)
-        return node
-
-    dst = builder.index_of(site.instruction.result)
-    if group.kind == "int":
-        mask = site.value_type.mask
-        if spe == 1 and ce == 0:
-            def node(frame):
-                regs = frame.regs
-                regs[dst] = regs[data_slot][regs[base_slot]
-                                            + regs[phi_slot]] & mask
-            return node
-
-        def node(frame):
-            regs = frame.regs
-            regs[dst] = regs[data_slot][regs[base_slot]
-                                        + regs[phi_slot] * spe + ce] & mask
-        return node
-    if spe == 1 and ce == 0:
-        def node(frame):
-            regs = frame.regs
-            regs[dst] = regs[data_slot][regs[base_slot] + regs[phi_slot]]
-        return node
-
-    def node(frame):
-        regs = frame.regs
-        regs[dst] = regs[data_slot][regs[base_slot]
-                                    + regs[phi_slot] * spe + ce]
-    return node

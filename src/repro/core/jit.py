@@ -118,9 +118,8 @@ _HELPER_NAMESPACE = {
     "_Crash": ProgramCrash,
     "_fmod": math.fmod,
     "_nan": math.nan,
-    # Speculative tier: guard failures raise _Deopt (caught at the
-    # innermost compiled-call boundary); the guard's array typechecks
-    # mirror the interpreter guard's isinstance checks.
+    # Speculative tier: guard failures raise _Deopt, caught at the
+    # innermost compiled-call boundary (``Runtime._deoptimize``).
     "_Deopt": DeoptSignal,
     "_IntArr": mo.IntArrayObject,
     "_FloatArr": mo.FloatArrayObject,
@@ -142,10 +141,11 @@ class _Emitter:
         if self.counting:
             self.consts["_ctr"] = runtime._obs.counters
             self.consts["_pf"] = prepared
-        # Speculative tier: plans whose preheader is deopt-clean compile
-        # to guard-at-header + raw-array-body loops; a failed guard
+        # Speculative tier: each loop plan compiles to a guard at the
+        # header plus raw-array accesses in the body; a failed guard
         # raises DeoptSignal before any side effect of the activation.
-        # Counting runs never speculate (profiling wants full checks).
+        # Counting runs never speculate (profiling wants full checks),
+        # nor do use-after-scope hunts (exact lifetimes).
         self.spec_plans: list = []
         # id(instruction) -> fast-site emission info / skip set.
         self.spec_sites: dict[int, tuple] = {}
@@ -153,10 +153,10 @@ class _Emitter:
         self.spec_guards: dict[int, tuple] = {}
         self.block_index_current = 0
         self.needs_prev = False
-        state = prepared.speculation
-        if (state is not None and not self.counting
-                and getattr(runtime, "speculate", False)):
-            self.spec_plans = state.jit_plans
+        if (runtime.speculate and not self.counting
+                and not runtime.detect_use_after_scope):
+            prepared.speculation = _speculation_state(prepared.function)
+            self.spec_plans = prepared.speculation.plans
         for k, plan in enumerate(self.spec_plans):
             self.spec_guards[id(plan.header)] = (k, plan)
             self.spec_skip.update(plan.dead)
@@ -330,10 +330,11 @@ class _Emitter:
         self.emit("    raise _Crash('phi with unmatched predecessor')")
 
     def _emit_guard(self, k: int, plan) -> None:
-        """The loop-invariant guard, run on the preheader→header edge.
-        Same predicate chain as the interpreter's ``_make_guard``; any
-        failure raises DeoptSignal (the preheader is deopt-clean, so the
-        activation replays on the interpreter from scratch)."""
+        """The loop-invariant guard, run on the preheader→header edge:
+        the induction range cannot wrap, and each base is a live typed
+        array of the right element kind that the whole range stays in.
+        Any failure raises DeoptSignal (the preheader is deopt-clean, so
+        the activation replays on the interpreter from scratch)."""
         pre = self._block_index(plan.preheader)
         deopt = (f"raise _Deopt({self.prepared.function.name!r}, "
                  f"'speculation guard failed')")
@@ -708,6 +709,18 @@ class _Emitter:
 
     def _block_index(self, block) -> int:
         return self.prepared.function.blocks.index(block)
+
+
+def _speculation_state(function: ir.Function):
+    """The loop plans of ``function``, memoized on it: analysis depends
+    only on the IR, which is immutable once a runtime prepares it."""
+    state = getattr(function, "_spec_state_memo", None)
+    if state is None:
+        from ..opt import speculate
+        state = speculate.SpeculationState(
+            speculate.analyze_function(function))
+        function._spec_state_memo = state
+    return state
 
 
 def compile_function(runtime, prepared: PreparedFunction) -> None:

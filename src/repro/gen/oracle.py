@@ -54,18 +54,17 @@ def make_tiers(cache_dir: str | None = None) -> dict:
     }
 
 
-def managed_tiers(cache_dir: str | None = None,
-                  speculate: bool = True) -> dict:
+def managed_tiers(cache_dir: str | None = None) -> dict:
     """The managed subset of the oracle matrix, plus the speculative
-    tier: the drivers ``repro explain`` runs its divergence bisection
-    over.  Order matters — the first tier (the pure interpreter) is the
-    reference the others are compared against."""
+    tier (compiled from the first call, as only compiled code
+    speculates): the drivers ``repro explain`` runs its divergence
+    bisection over.  Order matters — the first tier (the pure
+    interpreter) is the reference the others are compared against."""
     from ..tools import SafeSulongRunner
     everything = make_tiers(cache_dir)
     tiers = {name: everything[name] for name in MANAGED_TIERS}
-    if speculate:
-        tiers["speculate"] = SafeSulongRunner(tiers["interp"].config,
-                                              speculate=True)
+    tiers["speculate"] = SafeSulongRunner(tiers["interp"].config,
+                                          speculate=True, jit_threshold=1)
     return tiers
 
 

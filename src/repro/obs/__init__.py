@@ -13,7 +13,7 @@ from .observer import Observer
 from .metrics import (aggregate_metrics, check_breakdown,
                       service_breakdown)
 from .profile import (hot_checks, profile_source, render_hot_checks,
-                      render_profile, speculation_profile)
+                      render_profile)
 from .provenance import (provenance_signature, render_bug_report,
                          render_heap_dump)
 from .lines import collapsed_stacks, render_lines, write_flamegraph
@@ -27,7 +27,7 @@ from .replay import (ReplayError, ReplayMismatch, build_manifest,
 __all__ = ["Observer", "aggregate_metrics", "check_breakdown",
            "service_breakdown",
            "profile_source", "render_profile",
-           "hot_checks", "render_hot_checks", "speculation_profile",
+           "hot_checks", "render_hot_checks",
            "render_bug_report", "render_heap_dump",
            "provenance_signature",
            "collapsed_stacks", "render_lines", "write_flamegraph",

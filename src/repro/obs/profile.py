@@ -43,29 +43,15 @@ def profile_source(source: str, config=None, *,
     return result, observer.snapshot()
 
 
-def speculation_profile(results=()) -> dict:
-    """Build the profile dict the speculator consumes from observed
-    runs: ``{"fired": [[file, line], ...]}`` where a site *fired* when
-    a check at that source line detected a violation.  Feed this to
-    ``SafeSulong(speculation_profile=...)`` to exclude those sites from
-    speculative elision (:mod:`repro.opt.speculate`)."""
-    fired = set()
-    for result in results:
-        for bug in getattr(result, "bugs", ()) or ():
-            loc = bug.location
-            if loc is not None:
-                fired.add((loc.filename, loc.line))
-    return {"fired": sorted([f, l] for f, l in fired)}
-
-
 def hot_checks(snapshot: dict, results=(), top: int = 10) -> list:
     """Top-``top`` check sites by executed-check count from a
     lines-mode snapshot: ``(filename, line, checks, fired)`` rows,
-    hottest first.  This is exactly the evidence the speculator
-    consumes — a hot, never-fired site is a speculation candidate; a
-    fired site is pinned to full checks."""
-    fired = {tuple(entry) for entry in
-             speculation_profile(results).get("fired", ())}
+    hottest first.  A site *fired* when a bug in ``results`` was
+    detected at its source line."""
+    fired = {(bug.location.filename, bug.location.line)
+             for result in results
+             for bug in getattr(result, "bugs", ()) or ()
+             if bug.location is not None}
     rows = [(filename, line, checks, (filename, line) in fired)
             for filename, line, _instr, checks, _allocs
             in snapshot.get("lines", ()) if checks]
@@ -81,7 +67,7 @@ def render_hot_checks(snapshot: dict, results=(), top: int = 10,
     out = [f"== hot check sites: {program or 'program'} "
            f"(top {len(rows)}) =="]
     if not rows:
-        out.append("  (no checks executed — nothing to speculate on)")
+        out.append("  (no checks executed)")
         return "\n".join(out)
     out.append(f"  {'site':<24} {'checks':>12} {'status':<12} source")
     for filename, line, checks, fired in rows:
@@ -91,8 +77,8 @@ def render_hot_checks(snapshot: dict, results=(), top: int = 10,
         if filename == program and 1 <= line <= len(text_lines):
             snippet = text_lines[line - 1].strip()[:48]
         out.append(f"  {site:<24} {checks:>12,} {status:<12} {snippet}")
-    out.append("  never-fired sites are speculative-elision candidates; "
-               "FIRED sites stay fully checked")
+    out.append("  checks: executed null/bounds/lifetime checks; "
+               "FIRED: one of them detected a bug")
     return "\n".join(out)
 
 

@@ -1,12 +1,13 @@
-"""Profile-guided speculative check elision: the analysis layer.
+"""Speculative check elision: the analysis behind the JIT's loop guards.
 
 The paper's engine pays a dynamic check on every memory access (§3.4).
 The static elision pass (``opt/elide.py``) removes the checks it can
 *prove* away; this module handles the next tier: checks that cannot be
-proven statically but — per the observer's per-site profile — never
-fired.  For a *counted loop* whose accesses stride linearly through an
-array, all per-iteration bounds/lifetime checks collapse into one
-loop-invariant guard evaluated at the preheader:
+proven statically but can be *speculated* away in compiled code, as
+Graal speculates and deoptimizes.  For a *counted loop* whose accesses
+stride linearly through an array, all per-iteration bounds/lifetime
+checks collapse into one loop-invariant guard evaluated at the
+preheader:
 
 * the loop is ``for (i = init; i <pred> limit; i += c)`` with ``c > 0``
   and a loop-invariant ``limit`` (header = one induction phi + compare);
@@ -20,13 +21,14 @@ loop-invariant guard evaluated at the preheader:
   offsets (contiguous-access merging).
 
 If the guard holds, every check in the loop body is vacuous and the
-engine runs raw element accesses; if not, nothing has been elided — the
-interpreter falls back to the full-checks blocks locally, and compiled
-code raises :class:`~repro.core.errors.DeoptSignal` (which is only
-permitted where the deopt *replay* is sound; see ``clean_preheader``).
+compiled code runs raw element accesses; if not, nothing has been
+elided: the guard raises :class:`~repro.core.errors.DeoptSignal` and the
+call re-runs on the fully checked interpreter.  That replay is sound
+only when no side effect can precede the guard, so only loops whose
+preheader is deopt-clean are planned (:func:`_clean_blocks`).
 
-This module is pure analysis over the IR; the interpreter and JIT
-consume the plans (``core/interpreter.py`` / ``core/jit.py``).
+This module is pure analysis over the IR; the JIT consumes the plans
+(``core/jit.py``).
 """
 
 from __future__ import annotations
@@ -71,14 +73,14 @@ class SiteGroup:
 
 
 class LoopPlan:
-    """Everything the execution tiers need to speculate one loop."""
+    """Everything the JIT needs to speculate one loop."""
 
-    __slots__ = ("header", "preheader", "latch", "body", "phi", "init",
-                 "step", "limit", "predicate", "bits", "groups",
-                 "clean_preheader", "dead", "guard_addend", "init_floor")
+    __slots__ = ("header", "preheader", "phi", "init", "step", "limit",
+                 "predicate", "bits", "groups", "dead", "guard_addend",
+                 "init_floor")
 
-    def __init__(self, header, preheader, latch, body, phi, init, step,
-                 limit, predicate, bits, groups, clean_preheader):
+    def __init__(self, header, preheader, phi, init, step, limit,
+                 predicate, bits, groups):
         # ids of extra pure instructions (constant-index GEP chains and
         # single-use index extensions) the fast path can skip entirely;
         # filled in by _collect_dead.
@@ -92,8 +94,6 @@ class LoopPlan:
         self.init_floor = 0
         self.header = header
         self.preheader = preheader
-        self.latch = latch
-        self.body = body
         self.phi = phi
         self.init = init
         self.step = step
@@ -101,39 +101,29 @@ class LoopPlan:
         self.predicate = predicate  # normalized: slt | sle | ult | ule
         self.bits = bits
         self.groups = groups
-        # True when no side effect can occur on any path from function
-        # entry through the preheader: a guard failure there may raise
-        # DeoptSignal and replay the activation from scratch.
-        self.clean_preheader = clean_preheader
 
 
 class SpeculationState:
-    """Attached to a PreparedFunction; shared by interpreter and JIT."""
+    """The loop plans the JIT compiled into a PreparedFunction."""
 
     __slots__ = ("plans",)
 
     def __init__(self, plans):
         self.plans = plans
 
-    @property
-    def jit_plans(self):
-        return [plan for plan in self.plans if plan.clean_preheader]
-
 
 _SWAPPED = {"sgt": "slt", "sge": "sle", "ugt": "ult", "uge": "ule"}
 
 
-def analyze_function(function: ir.Function, profile=None) -> list[LoopPlan]:
-    """Find speculable counted loops.  ``profile`` is an observer
-    profile dict (``{"fired": [[file, line], ...], ...}``): sites whose
-    source line has ever fired a check are excluded.  ``None`` means
-    optimistic mode — speculate every eligible site."""
+def analyze_function(function: ir.Function) -> list[LoopPlan]:
+    """Find speculable counted loops whose preheader is deopt-clean: no
+    side effect can occur on any path from function entry through it,
+    so a guard failure there may replay the activation from scratch."""
     if not function.is_definition:
         return []
     cfg = ControlFlowGraph(function)
     if not cfg.loops:
         return []
-    fired = _fired_lines(profile)
     defs: dict[int, inst.Instruction] = {}
     def_block: dict[int, ir.Block] = {}
     uses: dict[int, int] = {}
@@ -148,34 +138,26 @@ def analyze_function(function: ir.Function, profile=None) -> list[LoopPlan]:
     clean = _clean_blocks(function, cfg, defs)
     plans = []
     for header, body in cfg.loops.items():
-        # Innermost loops only: cloned fast blocks never nest.
+        # Innermost loops only: each access belongs to at most one plan.
         if any(other is not header and other in body
                for other in cfg.loops):
             continue
         plan = _analyze_loop(header, body, cfg, defs, def_block, uses,
-                             fired, clean)
+                             clean)
         if plan is not None:
             plans.append(plan)
     plans.sort(key=lambda plan: cfg.rpo_index.get(plan.header, 1 << 30))
     return plans
 
 
-def _fired_lines(profile):
-    if not isinstance(profile, dict):
-        return None
-    fired = set()
-    for entry in profile.get("fired", ()):
-        if isinstance(entry, (list, tuple)) and len(entry) == 2:
-            fired.add((str(entry[0]), int(entry[1])))
-    return fired
-
-
-def _analyze_loop(header, body, cfg, defs, def_block, uses, fired, clean):
+def _analyze_loop(header, body, cfg, defs, def_block, uses, clean):
     outside = [pred for pred in cfg.predecessors[header]
                if pred not in body]
     if len(outside) != 1:
         return None
     preheader = outside[0]
+    if not clean.get(preheader, False):
+        return None
     # Calls could free/realloc a speculated base (or observe state);
     # loops containing any call are left fully checked.
     for block in body:
@@ -207,12 +189,12 @@ def _analyze_loop(header, body, cfg, defs, def_block, uses, fired, clean):
             or def_block.get(id(phi.result)) is not header \
             or len(phi.incoming) != 2:
         return None
-    init = next_value = latch = None
+    init = next_value = None
     for pred_block, value in phi.incoming:
         if pred_block is preheader:
             init = value
         elif pred_block in body:
-            latch, next_value = pred_block, value
+            next_value = value
     if init is None or next_value is None:
         return None
     add = defs.get(id(next_value)) \
@@ -242,7 +224,7 @@ def _analyze_loop(header, body, cfg, defs, def_block, uses, fired, clean):
     for block in sorted(body, key=lambda b: cfg.rpo_index.get(b, 1 << 30)):
         for instruction in block.instructions:
             classified = _classify_site(instruction, phi, body, defs,
-                                        def_block, uses, fired)
+                                        def_block, uses)
             if classified is None:
                 continue
             site, stride, base, chain, (addend, narrow, zext) = classified
@@ -266,9 +248,8 @@ def _analyze_loop(header, body, cfg, defs, def_block, uses, fired, clean):
         offsets = [site.const_offset for site in group.sites]
         group.lo = min(offsets)
         group.hi = max(offsets)
-    plan = LoopPlan(header, preheader, latch, body, phi, init, step,
-                    limit, predicate, lhs.type.bits,
-                    list(groups.values()), clean.get(preheader, False))
+    plan = LoopPlan(header, preheader, phi, init, step, limit, predicate,
+                    lhs.type.bits, list(groups.values()))
     plan.dead = dead
     plan.guard_addend = guard_addend
     plan.init_floor = init_floor
@@ -307,7 +288,7 @@ def _collect_dead(site, chain, defs, uses, dead: set) -> None:
                 break
 
 
-def _classify_site(instruction, phi, body, defs, def_block, uses, fired):
+def _classify_site(instruction, phi, body, defs, def_block, uses):
     """A (SiteAccess, stride, base, chain) tuple when ``instruction`` is
     a speculable access of the loop's induction pattern, else None.
     ``base`` is the loop-invariant pointer after folding any chain of
@@ -361,11 +342,6 @@ def _classify_site(instruction, phi, body, defs, def_block, uses, fired):
     if isinstance(base, ir.VirtualRegister) \
             and def_block.get(id(base)) in body:
         return None
-    if fired is not None:
-        loc = instruction.loc
-        if loc is not None and getattr(loc, "line", 0) > 0 \
-                and (loc.filename, loc.line) in fired:
-            return None
     drop_gep = uses.get(id(gep.result), 0) == 1
     return (SiteAccess(instruction, gep, const_offset, value_type,
                        is_store, drop_gep), stride, base, chain, induction)

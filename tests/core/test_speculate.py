@@ -1,12 +1,11 @@
 """Speculative check elision: guard/deopt correctness.
 
-The speculation contract (DESIGN.md §6): a loop-invariant guard at the
-preheader proves, once per loop entry, everything the per-iteration
-checks it replaces would have proven; when the guard fails, execution
-falls back to the fully-checked path — in the interpreter by running
-the original blocks, in compiled code by raising ``DeoptSignal`` and
-re-entering the interpreter — so detection is never lost, only the
-fast path.
+The speculation contract (DESIGN.md §6): in compiled code, a
+loop-invariant guard at the preheader proves, once per loop entry,
+everything the per-iteration checks it replaces would have proven; when
+the guard fails, compiled code raises ``DeoptSignal`` and the call
+re-runs on the fully checked interpreter, so detection is never lost,
+only the fast path.
 """
 
 import re
@@ -42,7 +41,10 @@ int main(void) {
 
 CLEAN = SPECULABLE % ""
 OOB_CALL = SPECULABLE % "acc += total(buf + 32, 64);"
-SCALAR_CALL = SPECULABLE % "int x = 7; acc += total(&x, 1);"
+# A struct field is not an int array: the guard's array-kind check
+# fails, but both reads stay inside the struct.
+FIELD_CALL = SPECULABLE % (
+    "struct pair { int a; int b; } p = {7, 8}; acc += total(&p.a, 2);")
 
 
 def _signature(result):
@@ -59,31 +61,48 @@ def _signature(result):
 
 
 class TestInterpreterGuards:
+    """Compiled guards and the interpreter they deopt to.  The
+    interpreter itself speculates nothing."""
+
     def test_clean_run_speculates_without_trips(self):
         plain = SafeSulong().run_source(CLEAN)
-        spec = SafeSulong(speculate=True).run_source(CLEAN)
+        spec = SafeSulong(speculate=True,
+                          jit_threshold=2).run_source(CLEAN)
         assert _signature(spec) == _signature(plain)
+        total = spec.runtime.prepared["total"]
+        assert total.compiled is not None
+        assert len(total.speculation.plans) == 1
         assert spec.runtime.guard_trips == 0
         assert spec.runtime.deopts == 0
 
     def test_guard_trip_falls_back_and_detects(self):
         # The last call's index range pokes past the object: the
-        # hoisted bounds guard fails, the loop runs fully checked, and
-        # the out-of-bounds is reported exactly as without speculation.
+        # hoisted bounds guard fails, the call re-runs fully checked,
+        # and the out-of-bounds is reported exactly as without
+        # speculation.
         plain = SafeSulong().run_source(OOB_CALL)
-        spec = SafeSulong(speculate=True).run_source(OOB_CALL)
+        spec = SafeSulong(speculate=True,
+                          jit_threshold=2).run_source(OOB_CALL)
         assert plain.bugs and plain.bugs[0].kind == "out-of-bounds"
         assert _signature(spec) == _signature(plain)
-        assert spec.runtime.guard_trips >= 1
+        assert spec.runtime.guard_trips == spec.runtime.deopts == 1
 
     def test_guard_trip_without_bug_stays_correct(self):
-        # A scalar passed where the guard expects an int array: the
-        # guard fails (wrong object shape), but the access is in
-        # bounds — fallback must produce the bug-free result.
-        plain = SafeSulong().run_source(SCALAR_CALL)
-        spec = SafeSulong(speculate=True).run_source(SCALAR_CALL)
+        # A struct field passed where the guard expects an int array:
+        # the guard fails (wrong object kind), but the accesses are in
+        # bounds — the fully checked re-run gives the bug-free result.
+        plain = SafeSulong().run_source(FIELD_CALL)
+        spec = SafeSulong(speculate=True,
+                          jit_threshold=2).run_source(FIELD_CALL)
         assert not plain.bugs
         assert _signature(spec) == _signature(plain)
+        assert spec.runtime.guard_trips == spec.runtime.deopts == 1
+
+    def test_interpreter_prepares_one_block_per_ir_block(self):
+        spec = SafeSulong(speculate=True).run_source(CLEAN)
+        assert spec.runtime.prepared
+        for prepared in spec.runtime.prepared.values():
+            assert len(prepared.blocks) == len(prepared.function.blocks)
 
 
 class TestDeopt:
@@ -101,10 +120,14 @@ class TestDeopt:
         spec = SafeSulong(speculate=True,
                           jit_threshold=2).run_source(OOB_CALL)
         runtime = spec.runtime
-        if runtime.deopts:  # compiled before the bad call
-            prepared = runtime.prepared.get("total")
-            assert prepared is not None
-            assert prepared.compiled is None  # plan invalidated
+        assert runtime.deopts == 1  # compiled before the bad call
+        assert runtime.prepared["total"].compiled is None
+
+    def test_deopt_is_not_a_compile_bailout(self):
+        spec = SafeSulong(speculate=True,
+                          jit_threshold=2).run_source(OOB_CALL)
+        assert spec.runtime.deopts == 1
+        assert spec.runtime.compile_bailouts == []
 
     def test_clean_compiled_run_no_deopt(self):
         plain = SafeSulong().run_source(CLEAN)
@@ -112,22 +135,6 @@ class TestDeopt:
                           jit_threshold=2).run_source(CLEAN)
         assert _signature(spec) == _signature(plain)
         assert spec.runtime.deopts == 0
-
-
-class TestProfileFeedback:
-    def test_fired_sites_excluded_from_speculation(self):
-        from repro.obs import speculation_profile
-        first = SafeSulong(speculate=True).run_source(OOB_CALL)
-        assert first.runtime.guard_trips >= 1
-        profile = speculation_profile([first])
-        assert profile["fired"]
-        # Re-run with the profile: the fired site is pinned to full
-        # checks, so no guard covers it and none trips.
-        second = SafeSulong(speculate=True,
-                            speculation_profile=profile
-                            ).run_source(OOB_CALL)
-        assert _signature(second) == _signature(first)
-        assert second.runtime.guard_trips == 0
 
 
 class TestPlantedBugs:

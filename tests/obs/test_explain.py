@@ -25,7 +25,8 @@ from repro.obs.replay import (ReplayError, ReplayMismatch,
                               build_manifest, explain, explain_record,
                               manifest_for_task, replay, resolve_source)
 from repro.obs.slices import (DEFAULT_BUDGET, bisect_output_divergence,
-                              canonical_packet_bytes, validate_packet)
+                              canonical_packet_bytes, divergence_slice,
+                              validate_packet)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_explain.json")
@@ -166,6 +167,17 @@ def test_bisect_output_divergence():
     # Prefix covering every mark: not attributable to a recorded block.
     assert bisect_output_divergence(marks, 9) is None
     assert bisect_output_divergence([], 5) is None
+
+
+@pytest.mark.parametrize("seed,plant", [(0, "none"), (1, "spatial")])
+def test_divergence_slice_agrees_on_generated_programs(seed, plant):
+    from repro.gen import GenConfig, choose_plant, generate
+    assert choose_plant(seed, "mixed") == plant
+    program = generate(seed, GenConfig(plant=plant))
+    div = divergence_slice(program.source, program.filename)
+    assert div["checked_tiers"] == ["interp", "jit", "elide", "speculate"]
+    assert div["agree"], div["divergent_tiers"]
+    assert div["outcomes"]["speculate"]["detected"] == (plant != "none")
 
 
 def test_gen_manifest_replays_without_source():

@@ -3,8 +3,8 @@
 import json
 import re
 
-from repro.obs import (aggregate_metrics, check_breakdown, profile_source,
-                       render_profile)
+from repro.obs import (aggregate_metrics, check_breakdown, hot_checks,
+                       profile_source, render_profile)
 
 HOT_PROGRAM = """
 #include <stdio.h>
@@ -68,6 +68,16 @@ class TestRenderProfile:
         text = render_profile(result, snapshot, program="bug.c")
         assert "outcome: BUG:" in text
         assert "interpreter only" in text
+
+
+class TestHotChecks:
+    def test_only_the_bug_line_fired(self):
+        result, snapshot = profile_source(BUG_PROGRAM, lines=True)
+        rows = hot_checks(snapshot, [result])
+        assert [(filename, line) for filename, line, _checks, fired
+                in rows if fired] == [("program.c", 4)]
+        assert all(not fired for *_site, fired
+                   in hot_checks(snapshot, []))
 
 
 class TestCacheRows:
