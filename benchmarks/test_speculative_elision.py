@@ -1,17 +1,15 @@
-"""Safe-O2 + static elision + fused dispatch, interpreted: the ≥2x gate.
+"""The optimized tier, interpreted, with fused dispatch: the ≥2x gate.
 
 Measures interpreted shootout throughput for the ``--speculate``
 configuration (``safe-sulong-interp-speculate``) against the *no-fusion
-baseline*: the interpreter exactly as it was before this work — no
-superinstruction fusion, no elision, no safe-O2
+baseline*: the reference interpreter without superinstruction fusion
 (``safe-sulong-interp-nofuse``).  Only compiled code speculates
 (DESIGN.md §6), and this configuration has no JIT, so what it times is
-the safe-tier O2 clone from ``opt/pipeline.py``, static check elision
-from ``opt/elide.py`` and the fused direct-call dispatch.  The compiled
-tier, loop guards included, is measured by perfbench's shootout-peak
-``opt`` tier.
+the safe-tier O2 clone from ``opt/pipeline.py``, run with every check,
+and the fused dispatch.  The compiled tier, loop guards included, is
+measured by perfbench's shootout-peak ``opt`` tier.
 
-Methodology: both sessions are fully warmed (elision annotation and
+Methodology: both sessions are fully warmed (the safe-O2 clone and
 node preparation happen before timing), then base/spec iterations are
 *interleaved* so machine-load drift hits both sides equally; each side
 keeps its minimum (noise on a shared machine is one-sided).  Output
@@ -37,7 +35,7 @@ SAMPLES = 5
 BASELINE = "safe-sulong-interp-nofuse"
 TREATMENT = "safe-sulong-interp-speculate"
 
-# ≥2x interpreted shootout geomean, safe-O2 + static elision + dispatch
+# ≥2x interpreted shootout geomean, safe-O2 clone + fused dispatch
 # combined, vs. the no-fusion baseline.
 GATE = 2.0
 
@@ -92,7 +90,7 @@ def test_speculative_pipeline_hits_2x(benchmark):
 
     table = benchmark.pedantic(regenerate, iterations=1, rounds=1)
 
-    print("\ninterpreter, safe-O2 + static elision + dispatch "
+    print("\ninterpreter, safe-O2 clone (every check) + fused dispatch "
           "vs. no-fusion baseline:")
     for program in PROGRAMS:
         row = table[program]

@@ -3,15 +3,15 @@ addressed compilation cache).
 
 The paper's §4.2 start-up cost is dominated by work the cache makes
 content-addressed: libc parsing and the program front end (the
-``frontend`` tier), plus the interprocedural analysis behind check
-elision (the ``analysis`` tier).  Node building and JIT code generation
-are not cached; both run cold in every process.  This experiment replays the sec42-style start-up measurement
-twice per configuration — once against an empty store (cold) and once
-against a store a previous "process" filled (warm; a fresh
-``CompilationCache`` over the same directory, so only the disk tier
-serves) — and gates the speedup.  A hunt-campaign wall-clock comparison
-over real worker subprocesses rides along, recorded but not ratio-gated
-(process spawn noise dominates its denominator).
+``frontend`` tier).  Node building and JIT code generation are not
+cached; both run cold in every process.  This experiment replays the
+sec42-style start-up measurement twice per configuration — once
+against an empty store (cold) and once against a store a previous
+"process" filled (warm; a fresh ``CompilationCache`` over the same
+directory, so only the disk tier serves) — and gates the speedup.  A
+hunt-campaign wall-clock comparison over real worker subprocesses rides
+along, recorded but not ratio-gated (process spawn noise dominates its
+denominator).
 
 Emits ``BENCH_warmstart.json`` at the repository root:
     {"warm_start": {"cold_s", "warm_s", "speedup", ...},

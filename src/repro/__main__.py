@@ -7,7 +7,7 @@ Examples:
 
     # Profile a run: check counts by kind, hot functions, JIT timeline
     python -m repro profile program.c
-    python -m repro profile --elide --metrics out.json program.c
+    python -m repro profile --metrics out.json program.c
 
     # Compare against the baselines
     python -m repro run --tool asan-O0 program.c
@@ -119,7 +119,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     options = EngineConfig.from_args(args).to_json()
     if args.tool != "safe-sulong" and (
-            args.elide_checks or args.speculate or args.max_heap_bytes):
+            args.speculate or args.max_heap_bytes):
         print(f"warning: --elide/--speculate/--heap-quota have no "
               f"effect with --tool {args.tool}", file=sys.stderr)
     if args.metrics and args.tool != "safe-sulong":
@@ -796,13 +796,13 @@ _ENGINE_FLAGS = {
     "--output-cap": ("max_output_bytes", "BYTES", "program output budget"),
     "--jit": ("jit_threshold", "THRESHOLD",
               "enable the dynamic tier at N calls (safe-sulong)"),
-    "--elide": ("elide_checks", None,
-                "enable proven-safe check elision (safe-sulong)"),
+    "--elide": ("speculate", None,
+                "the older spelling of --speculate (safe-sulong)"),
     "--speculate": ("speculate", None,
-                    "run the safe-O2 clone, and let JIT-compiled loops "
-                    "elide checks speculatively with deopt; implies "
-                    "--elide, and hunt and serve degrade it to --elide "
-                    "(safe-sulong)"),
+                    "run the optimized tier: the safe-O2 clone with "
+                    "every check, whose JIT-compiled loops may drop "
+                    "checks under a guard that deoptimizes; hunt and "
+                    "serve degrade it to full checks (safe-sulong)"),
     "--heap-dump": ("track_heap", None,
                     "print a bounded dump of heap objects with their "
                     "allocation/free sites (run: on a bug; safe-sulong)"),
@@ -973,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "retry (default 0.1)")
     hunt_parser.add_argument("--no-ladder", action="store_true",
                              help="disable the degradation ladder "
-                                  "(elide→full-checks, "
+                                  "(speculate→full-checks, "
                                   "JIT→interpreter)")
     hunt_parser.add_argument("--report",
                              default="hunt-report.jsonl", metavar="PATH",
@@ -1292,8 +1292,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="planted-bug mix (default mixed)")
     gen_oracle.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="shared compilation cache directory "
-                                 "(warm elision analysis across the "
-                                 "sweep)")
+                                 "(warm front end across the sweep)")
     gen_oracle.add_argument("--repro-dir", default=None, metavar="DIR",
                             help="write a repro .c per divergence / "
                                  "planted-miss")

@@ -1,10 +1,11 @@
 """Static analyses over the IR (CFG utilities, dataflow solver, clients).
 
 The dynamic engine (``core/``) finds bugs by *executing* IR under managed
-semantics; this package finds a subset of them *statically*, on all paths,
-and proves some dynamic checks redundant so the interpreter and JIT can
-skip them (``opt/elide.py``).  Everything here is deliberately must-
-information only: a fact is either proven or absent, never guessed.
+semantics, with every check; this package finds a subset of them
+*statically*, on all paths (``repro lint``), and proves some dynamic
+checks redundant (``opt/elide.py``, whose marks no executor reads).
+Everything here is deliberately must-information only: a fact is either
+proven or absent, never guessed.
 """
 
 from .cfg import ControlFlowGraph

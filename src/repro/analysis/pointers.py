@@ -384,30 +384,14 @@ class PointerAnalysis(DataflowAnalysis):
         self._set(state, instruction.result, fact)
 
     def _gep_delta(self, instruction: inst.Gep, state) -> Interval | None:
-        """Byte-offset interval a gep adds to its base, mirroring the
-        interpreter's decomposition; ``None`` when unbounded."""
-        pointee = instruction.base.type.pointee
-        total = Interval.const(0)
-        current = pointee
-        for position, index in enumerate(instruction.indices):
-            if position == 0:
-                stride = current.size
-            elif isinstance(current, irt.ArrayType):
-                stride = current.elem.size
-                current = current.elem
-            elif isinstance(current, irt.StructType):
-                field = current.fields[index.value
-                                       if isinstance(index, irv.ConstInt)
-                                       else 0]
-                total = total.add(Interval.const(field.offset))
-                current = field.type
-                continue
-            else:
-                return None
-            term = self.intervals.value_interval(
-                index, self._interval_state()) \
-                if not isinstance(index, irv.ConstInt) \
-                else Interval.const(index.signed_value)
+        """Byte-offset interval a gep adds to its base (the shared
+        ``inst.lower_gep``); ``None`` when unbounded."""
+        offset, terms, _final = inst.lower_gep(instruction.base.type.pointee,
+                                               instruction.indices)
+        total = Interval.const(offset)
+        for index, stride in terms:
+            term = self.intervals.value_interval(index,
+                                                 self._interval_state())
             total = total.add(term.scaled(stride))
             if total.is_top:
                 return None

@@ -122,11 +122,10 @@ MANAGED_CONFIGURATIONS = {
     # program keeps interpreting (Figure 15's gradual ramp).
     "safe-sulong-warmup": (_JIT, None, {"jit_compile_latency": 0.5}),
     "safe-sulong-interp": (_INTERP, None, {}),
-    "safe-sulong-interp-elide": (EngineConfig(elide_checks=True), None, {}),
     # The pre-superinstruction dispatch baseline (BENCH_speculate.json).
     "safe-sulong-interp-nofuse": (_INTERP, None, {"fuse": False}),
     # The treatment side of benchmarks/test_speculative_elision.py:
-    # interpreted, so the safe-O2 clone with static elision (only
+    # interpreted, so the safe-O2 clone with every check (only
     # compiled code speculates).
     "safe-sulong-interp-speculate": (EngineConfig(speculate=True), None,
                                      {}),

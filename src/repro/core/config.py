@@ -22,8 +22,7 @@ class EngineConfig(NamedTuple):
     """The safe-sulong engine options (immutable; ``_replace`` edits)."""
 
     jit_threshold: int | None = None  # JIT at a function's Nth call
-    elide_checks: bool = False        # static check elision (opt/elide)
-    speculate: bool = False           # speculative elision with deopt
+    speculate: bool = False           # the optimized tier (safe-O2 clone)
     max_heap_bytes: int | None = None  # quotas; None is unlimited
     max_call_depth: int | None = None
     max_output_bytes: int | None = None
@@ -35,10 +34,14 @@ class EngineConfig(NamedTuple):
     @classmethod
     def from_json(cls, data: dict | None) -> EngineConfig:
         """Read a wire dict of any shape written so far: missing fields
-        take their defaults, keys that are not fields are ignored."""
+        take their defaults, keys that are not fields are ignored, and
+        the retired ``elide_checks`` requests the optimized tier."""
         data = data or {}
-        return cls(**{name: data[name] for name in cls._fields
-                      if name in data})
+        config = cls(**{name: data[name] for name in cls._fields
+                        if name in data})
+        if data.get("elide_checks"):
+            config = config._replace(speculate=True)
+        return config
 
     @classmethod
     def from_args(cls, args) -> EngineConfig:
@@ -59,23 +62,23 @@ class EngineConfig(NamedTuple):
                 if value and name not in _NOT_IN_MANIFEST}
 
     def fingerprint(self) -> dict:
-        """The campaign-resume projection, defaults included."""
-        return {name: value for name, value in zip(self._fields, self)
-                if name not in _NOT_IN_FINGERPRINT}
+        """The campaign-resume projection, defaults included.  The
+        retired ``elide_checks`` keeps its old default, so a campaign
+        checkpointed before its retirement still resumes."""
+        projection = {name: value for name, value in zip(self._fields, self)
+                      if name not in _NOT_IN_FINGERPRINT}
+        projection["elide_checks"] = False
+        return projection
 
     def descend(self) -> list[tuple[str, EngineConfig]]:
         """The degradation ladder as ``(rung name, config)`` pairs, from
         the request down to the reference interpreter.  Each descent
-        turns an optimization off, never a check: speculation first
-        (its guards only add re-checks, so elision stays on), then
-        static elision, then the JIT."""
+        turns an optimization off, never a check: the optimized tier
+        first (its guards only add re-checks), then the JIT."""
         rungs = [("as-requested", self)]
         current = self
         if current.speculate:
-            current = current._replace(speculate=False, elide_checks=True)
-            rungs.append(("elide", current))
-        if current.elide_checks:
-            current = current._replace(elide_checks=False)
+            current = current._replace(speculate=False)
             rungs.append(("full-checks", current))
         if current.jit_threshold is not None:
             current = current._replace(jit_threshold=None)

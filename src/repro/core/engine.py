@@ -144,31 +144,14 @@ class SafeSulong:
                 "unresolved functions (Safe Sulong executes no native "
                 f"code, §5): {', '.join('@' + m for m in missing)}")
 
-    def _annotate_elisions(self, module: ir.Module) -> None:
-        """Give the module its exact check-elision marks, once per
-        module object.  Work is per call-graph SCC: functions shared
-        with an earlier module (the linked libc) keep their marks where
-        their SCC is unchanged; other SCCs come from the ``analysis``
-        cache tier when a cache is attached, or are analyzed."""
-        if getattr(module, "_elide_annotated", False):
-            return
-        from ..opt import elide
-        with span("opt.elide", of=module.name):
-            elide.run_module(module, cache=self.cache)
-        module._elide_annotated = True
-
     # -- execution ---------------------------------------------------------------
 
     def new_runtime(self, module: ir.Module, **runtime_options) -> Runtime:
         """A runtime for ``module`` under this engine's config, with the
-        implications between options applied: speculation builds on the
-        static proofs, and use-after-scope hunting (exact lifetimes)
-        rules out speculative data caching."""
+        implications between options applied: use-after-scope hunting
+        (exact lifetimes) rules out speculative data caching."""
         config = self.config
         speculate = config.speculate and not self.detect_use_after_scope
-        elide_checks = config.elide_checks or speculate
-        if elide_checks:
-            self._annotate_elisions(module)
         if self.cache is not None:
             self.cache.observer = self.observer
         return Runtime(
@@ -176,7 +159,6 @@ class SafeSulong:
             detect_use_after_scope=self.detect_use_after_scope,
             jit_threshold=config.jit_threshold,
             track_heap=self.detect_leaks or config.track_heap,
-            elide_checks=elide_checks,
             max_heap_bytes=config.max_heap_bytes,
             max_call_depth=config.max_call_depth,
             max_output_bytes=config.max_output_bytes,

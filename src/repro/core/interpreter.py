@@ -139,17 +139,15 @@ class Runtime:
         # from their safe-O2 clone, and the JIT compiles eligible counted
         # loops to one guard plus raw accesses.  A failed guard deopts
         # (DeoptSignal); ``guard_trips`` and ``deopts`` both count it.
-        self.speculate = speculate
+        # ``elide_checks`` is the retired spelling of the same request:
+        # no executor reads static-elision marks.
+        self.speculate = speculate or elide_checks
         self.guard_trips = 0
         self.deopts = 0
         # Superinstruction fusion (prepare-time pair merging).  On by
         # default; benchmarks switch it off to measure the pre-fusion
         # dispatch baseline.
         self.fuse = fuse
-        # Honor the static check-elision annotations (opt/elide.py).
-        # Opt-in per runtime: modules (notably the shared libc) may carry
-        # annotations from a previous engine that enabled the pass.
-        self.elide_checks = elide_checks
         self.heap_objects: list = []
         self.global_objects: dict[str, mo.ManagedObject] = {}
         self.prepared: dict[str, PreparedFunction] = {}
@@ -717,21 +715,15 @@ def _check_pointer(value, loc):
     return value
 
 
-def _counter_key(instruction, elide_checks: bool) -> str | None:
+def _counter_key(instruction) -> str | None:
     """The observer counter a node increments, or None.  Resolved at
     prepare time, so uncounted instructions pay nothing even when the
     observer is enabled."""
     if isinstance(instruction, inst.Load):
-        elide = instruction.elide if elide_checks else 0
-        return ("check.load.full", "check.load.nonull",
-                "check.load.elided")[min(elide, 2)]
+        return "check.load.full"
     if isinstance(instruction, inst.Store):
-        elide = instruction.elide if elide_checks else 0
-        return ("check.store.full", "check.store.nonull",
-                "check.store.elided")[min(elide, 2)]
+        return "check.store.full"
     if isinstance(instruction, inst.Gep):
-        if instruction.proven_nonnull and elide_checks:
-            return "check.gep.elided"
         return "check.gep"
     if isinstance(instruction, inst.Call):
         callee = instruction.callee
@@ -765,7 +757,7 @@ class _NodeBuilder:
         method = getattr(self, "_node_" + type(instruction).__name__)
         node = method(instruction)
         if self.obs is not None:
-            key = _counter_key(instruction, self.runtime.elide_checks)
+            key = _counter_key(instruction)
             if key is not None:
                 counters = self.obs.counters
 
@@ -836,14 +828,12 @@ class _NodeBuilder:
         if isinstance(instruction, inst.Gep):
             if isinstance(following, inst.Load) \
                     and following.pointer is result:
-                node = self._fused_gep_access(instruction, following, False)
-            elif isinstance(following, inst.Store) \
+                return ("step", self._fused_gep_access(instruction,
+                                                       following, False))
+            if isinstance(following, inst.Store) \
                     and following.pointer is result:
-                node = self._fused_gep_access(instruction, following, True)
-            else:
-                return None
-            if node is not None:
-                return ("step", node)
+                return ("step", self._fused_gep_access(instruction,
+                                                       following, True))
         return None
 
     def _icmp_test(self, instruction: inst.ICmp):
@@ -908,33 +898,12 @@ class _NodeBuilder:
         return test
 
     def _gep_parts(self, gep: inst.Gep):
-        """The constant-offset + dynamic-terms decomposition of
-        ``_node_Gep``, or None for shapes fusion leaves to the generic
-        nodes (e.g. a dynamic struct-field index)."""
-        const_offset = 0
-        dynamic: list[tuple] = []
-        current = gep.base.type.pointee
-        for position, index in enumerate(gep.indices):
-            if position == 0:
-                stride = current.size
-            elif isinstance(current, irt.ArrayType):
-                stride = current.elem.size
-                current = current.elem
-            elif isinstance(current, irt.StructType):
-                if not isinstance(index, ir.ConstInt):
-                    return None
-                field = current.fields[index.value]
-                const_offset += field.offset
-                current = field.type
-                continue
-            else:
-                return None
-            if isinstance(index, ir.ConstInt):
-                const_offset += index.signed_value * stride
-            else:
-                dynamic.append((self.getter(index), stride,
-                                index.type.bits))
-        return const_offset, dynamic
+        """``gep``'s constant byte offset and its dynamic terms as
+        (getter, stride, bits), from the shared ``inst.lower_gep``."""
+        const_offset, terms, _final = inst.lower_gep(gep.base.type.pointee,
+                                                     gep.indices)
+        return const_offset, [(self.getter(index), stride, index.type.bits)
+                              for index, stride in terms]
 
     def _offset_closure(self, const_offset, dynamic):
         if not dynamic:
@@ -956,19 +925,9 @@ class _NodeBuilder:
 
     def _fused_gep_access(self, gep, access, is_store):
         """One node for gep+load / gep+store, skipping the intermediate
-        Address allocation.  Restricted to shapes whose error behavior
-        is reproducible exactly: a checks-elided access requires the
-        proven-non-null GEP form (the elision proof covers the base); a
-        fully-checked access works with either form."""
-        elide_checks = self.runtime.elide_checks
-        proven = gep.proven_nonnull and elide_checks
-        elide = access.elide if elide_checks else 0
-        if not proven and elide > 0:
-            return None
-        parts = self._gep_parts(gep)
-        if parts is None:
-            return None
-        const_offset, dynamic = parts
+        Address allocation.  It performs every check the unfused pair
+        performs, and raises the same errors at the same locations."""
+        const_offset, dynamic = self._gep_parts(gep)
         offset_of = self._offset_closure(const_offset, dynamic)
         self.index_of(gep.result)  # keep the frame layout fusion-independent
         base = self.getter(gep.base)
@@ -978,40 +937,6 @@ class _NodeBuilder:
         if is_store:
             value_type = access.value.type
             value = self.getter(access.value)
-            if proven and elide >= 2:
-                def node(frame):
-                    address = base(frame)
-                    address.pointee.write(address.offset + offset_of(frame),
-                                          value_type, value(frame))
-                return node
-            if proven and elide == 1:
-                def node(frame):
-                    try:
-                        address = base(frame)
-                        address.pointee.write(
-                            address.offset + offset_of(frame),
-                            value_type, value(frame))
-                    except ProgramBug as bug:
-                        bug.attach_location(loc)
-                        bug.note_frame(frame.function, loc)
-                        raise
-                return node
-            if proven:  # full checks, minus the dispatch the proof removed
-                def node(frame):
-                    address = base(frame)
-                    total = address.offset + offset_of(frame)
-                    try:
-                        pointee = address.pointee
-                        if pointee is None:
-                            raise NullDereferenceError(
-                                f"dereference of invalid pointer "
-                                f"0x{total:x}")
-                        pointee.write(total, value_type, value(frame))
-                    except ProgramBug as bug:
-                        bug.attach_location(loc)
-                        bug.note_frame(frame.function, loc)
-                        raise
-                return node
 
             def node(frame):
                 address = base(frame)
@@ -1042,38 +967,6 @@ class _NodeBuilder:
 
         dst = self.index_of(access.result)
         value_type = access.result.type
-        if proven and elide >= 2:
-            def node(frame):
-                address = base(frame)
-                frame.regs[dst] = address.pointee.read(
-                    address.offset + offset_of(frame), value_type)
-            return node
-        if proven and elide == 1:
-            def node(frame):
-                try:
-                    address = base(frame)
-                    frame.regs[dst] = address.pointee.read(
-                        address.offset + offset_of(frame), value_type)
-                except ProgramBug as bug:
-                    bug.attach_location(loc)
-                    bug.note_frame(frame.function, loc)
-                    raise
-            return node
-        if proven:
-            def node(frame):
-                address = base(frame)
-                total = address.offset + offset_of(frame)
-                try:
-                    pointee = address.pointee
-                    if pointee is None:
-                        raise NullDereferenceError(
-                            f"dereference of invalid pointer 0x{total:x}")
-                    frame.regs[dst] = pointee.read(total, value_type)
-                except ProgramBug as bug:
-                    bug.attach_location(loc)
-                    bug.note_frame(frame.function, loc)
-                    raise
-            return node
 
         def node(frame):
             address = base(frame)
@@ -1120,30 +1013,6 @@ class _NodeBuilder:
         pointer = self.getter(instruction.pointer)
         value_type = instruction.result.type
         loc = instruction.loc
-        elide = instruction.elide if self.runtime.elide_checks else 0
-
-        if elide >= 2:
-            # Statically proven in-bounds of a non-freeable object: no
-            # dynamic check can fire, so no exception plumbing either.
-            def node(frame):
-                address = pointer(frame)
-                frame.regs[dst] = address.pointee.read(address.offset,
-                                                       value_type)
-            return node
-
-        if elide == 1:
-            # Proven non-null; the object's own lifetime/bounds checks
-            # remain and still need the source location attached.
-            def node(frame):
-                try:
-                    address = pointer(frame)
-                    frame.regs[dst] = address.pointee.read(address.offset,
-                                                           value_type)
-                except ProgramBug as bug:
-                    bug.attach_location(loc)
-                    bug.note_frame(frame.function, loc)
-                    raise
-            return node
 
         def node(frame):
             try:
@@ -1162,26 +1031,6 @@ class _NodeBuilder:
         value = self.getter(instruction.value)
         value_type = instruction.value.type
         loc = instruction.loc
-        elide = instruction.elide if self.runtime.elide_checks else 0
-
-        if elide >= 2:
-            def node(frame):
-                address = pointer(frame)
-                address.pointee.write(address.offset, value_type,
-                                      value(frame))
-            return node
-
-        if elide == 1:
-            def node(frame):
-                try:
-                    address = pointer(frame)
-                    address.pointee.write(address.offset, value_type,
-                                          value(frame))
-                except ProgramBug as bug:
-                    bug.attach_location(loc)
-                    bug.note_frame(frame.function, loc)
-                    raise
-            return node
 
         def node(frame):
             try:
@@ -1198,46 +1047,10 @@ class _NodeBuilder:
     def _node_Gep(self, instruction: inst.Gep):
         dst = self.index_of(instruction.result)
         base = self.getter(instruction.base)
-        pointee = instruction.base.type.pointee
         loc = instruction.loc
-        proven = instruction.proven_nonnull and self.runtime.elide_checks
-
-        # Decompose into constant offset + (getter, stride) pairs.
-        const_offset = 0
-        dynamic: list[tuple] = []
-        current = pointee
-        for position, index in enumerate(instruction.indices):
-            if position == 0:
-                stride = current.size
-            elif isinstance(current, irt.ArrayType):
-                stride = current.elem.size
-                current = current.elem
-            elif isinstance(current, irt.StructType):
-                field = current.fields[index.value
-                                       if isinstance(index, ir.ConstInt)
-                                       else 0]
-                const_offset += field.offset
-                current = field.type
-                continue
-            else:
-                raise TypeError(f"cannot GEP into {current}")
-            if isinstance(index, ir.ConstInt):
-                const_offset += index.signed_value * stride
-            else:
-                dynamic.append((self.getter(index),
-                                stride,
-                                index.type.bits))
+        const_offset, dynamic = self._gep_parts(instruction)
 
         if not dynamic:
-            if proven:
-                # Base proven to be a data-object address: skip the
-                # Address/None/function-pointer dispatch entirely.
-                def node(frame, _off=const_offset):
-                    value = base(frame)
-                    frame.regs[dst] = mo.Address(value.pointee,
-                                                 value.offset + _off)
-                return node
-
             def node(frame, _off=const_offset):
                 value = base(frame)
                 if type(value) is mo.Address:
@@ -1248,16 +1061,6 @@ class _NodeBuilder:
                         else None
                 else:
                     _bad_gep(value, loc)
-            return node
-
-        if proven:
-            def node(frame):
-                offset = const_offset
-                for getter, stride, bits in dynamic:
-                    offset += to_signed(getter(frame), bits) * stride
-                value = base(frame)
-                frame.regs[dst] = mo.Address(value.pointee,
-                                             value.offset + offset)
             return node
 
         def node(frame):

@@ -291,7 +291,7 @@ class _Emitter:
         if method is None:
             raise CompileUnsupported(type(i).__name__)
         if self.counting:
-            key = _counter_key(i, self.runtime.elide_checks)
+            key = _counter_key(i)
             if key is not None:
                 self.emit(f"_ctr[{key!r}] += 1")
         method(i)
@@ -411,21 +411,8 @@ class _Emitter:
             return
         pointer = self.operand(i.pointer)
         type_name = self.const(i.result.type, "t")
-        elide = i.elide if self.runtime.elide_checks else 0
-        if elide >= 2:
-            # Proven in-bounds of a non-freeable object: nothing can
-            # fire, not even the object-level checks.
-            self.emit(f"{dst} = {pointer}.pointee.read({pointer}.offset, "
-                      f"{type_name})")
-            return
         loc = self.loc_const(i)
         self.emit(f"_loc = {loc}")
-        if elide == 1:
-            # Proven non-null; object-level lifetime/bounds checks stay
-            # and report through the function's shared except block.
-            self.emit(f"{dst} = {pointer}.pointee.read({pointer}.offset, "
-                      f"{type_name})")
-            return
         self.emit(f"_p = _chk({pointer}, {loc})")
         self.emit(f"{dst} = _p.pointee.read(_p.offset, {type_name})")
 
@@ -443,56 +430,24 @@ class _Emitter:
         pointer = self.operand(i.pointer)
         value = self.operand(i.value)
         type_name = self.const(i.value.type, "t")
-        elide = i.elide if self.runtime.elide_checks else 0
-        if elide >= 2:
-            self.emit(f"{pointer}.pointee.write({pointer}.offset, "
-                      f"{type_name}, {value})")
-            return
         loc = self.loc_const(i)
         self.emit(f"_loc = {loc}")
-        if elide == 1:
-            self.emit(f"{pointer}.pointee.write({pointer}.offset, "
-                      f"{type_name}, {value})")
-            return
         self.emit(f"_p = _chk({pointer}, {loc})")
         self.emit(f"_p.pointee.write(_p.offset, {type_name}, {value})")
 
     def _i_Gep(self, i: inst.Gep) -> None:
         dst = self.reg(i.result)
         base = self.operand(i.base)
-        pointee = i.base.type.pointee
-        const_offset = 0
+        const_offset, lowered, _final = inst.lower_gep(i.base.type.pointee,
+                                                       i.indices)
         terms: list[str] = []
-        current = pointee
-        for position, index in enumerate(i.indices):
-            if position == 0:
-                stride = current.size
-            elif isinstance(current, irt.ArrayType):
-                stride = current.elem.size
-                current = current.elem
-            elif isinstance(current, irt.StructType):
-                field = current.fields[index.value]
-                const_offset += field.offset
-                current = field.type
-                continue
-            else:
-                raise CompileUnsupported(f"gep into {current}")
-            if isinstance(index, ir.ConstInt):
-                const_offset += index.signed_value * stride
-            else:
-                bits = index.type.bits
-                term = f"_ts({self.operand(index)}, {bits})"
-                terms.append(f"{term} * {stride}" if stride != 1 else term)
+        for index, stride in lowered:
+            term = f"_ts({self.operand(index)}, {index.type.bits})"
+            terms.append(f"{term} * {stride}" if stride != 1 else term)
         expression = " + ".join(terms) if terms else ""
         if const_offset or not expression:
             expression = f"{expression} + {const_offset}" if expression \
                 else str(const_offset)
-        if i.proven_nonnull and self.runtime.elide_checks:
-            # Base statically proven to address a real object: build the
-            # derived Address without the type dispatch in _gep.
-            self.emit(f"{dst} = _Addr({base}.pointee, {base}.offset + "
-                      f"{expression})")
-            return
         self.emit(f"{dst} = _gep({base}, {expression})")
 
     def _i_BinOp(self, i: inst.BinOp) -> None:

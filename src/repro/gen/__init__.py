@@ -2,7 +2,7 @@
 
 A seeded Csmith-lite generator of C programs that are well-defined by
 construction (`generator`), a five-way differential driver comparing
-interpreter / JIT / elided / native / asan executions (`oracle`), and
+interpreter / JIT / optimized / native / asan executions (`oracle`), and
 a pass-based delta-debugging reducer that minimizes interesting
 programs while re-checking an oracle predicate (`reduce`).
 

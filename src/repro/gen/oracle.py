@@ -1,9 +1,10 @@
 """Five-way differential driver for generated programs.
 
 Each program runs on five backends — the pure interpreter, the JIT
-(forced on from the first call), the check-elided configuration, the
-simulated native machine, and the ASan instrumentation — and the
-outcomes are compared under the paper's model:
+(forced on from the first call), the optimized tier (the safe-O2
+clone, JIT-compiled from the first call), the simulated native
+machine, and the ASan instrumentation — and the outcomes are compared
+under the paper's model:
 
 - a **clean** program (nothing planted) is well-defined, so all five
   executions must agree on exit status and output and none may report
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 from .generator import GenConfig, GeneratedProgram, choose_plant, generate
 
-TIER_NAMES = ("interp", "jit", "elide", "native", "asan")
-MANAGED_TIERS = ("interp", "jit", "elide")
+TIER_NAMES = ("interp", "jit", "speculate", "native", "asan")
+MANAGED_TIERS = ("interp", "jit", "speculate")
 
 AGREE = "agree"
 PLANTED_CAUGHT = "planted-caught"
@@ -39,8 +40,7 @@ DIVERGENCE = "divergence"
 
 def make_tiers(cache_dir: str | None = None) -> dict:
     """The five oracle backends.  A shared ``cache_dir`` keeps the
-    compilation/analysis cache warm across a sweep (the elision tier's
-    interprocedural libc summaries dominate the cold cost)."""
+    compilation cache warm across a sweep."""
     from ..core.config import EngineConfig
     from ..tools import AsanRunner, NativeRunner, SafeSulongRunner
     cache = EngineConfig(cache_dir=cache_dir,
@@ -48,24 +48,21 @@ def make_tiers(cache_dir: str | None = None) -> dict:
     return {
         "interp": SafeSulongRunner(cache),
         "jit": SafeSulongRunner(cache, jit_threshold=1),
-        "elide": SafeSulongRunner(cache, elide_checks=True),
+        "speculate": SafeSulongRunner(cache, speculate=True,
+                                      jit_threshold=1),
         "native": NativeRunner(0),
         "asan": AsanRunner(0),
     }
 
 
 def managed_tiers(cache_dir: str | None = None) -> dict:
-    """The managed subset of the oracle matrix, plus the speculative
-    tier (compiled from the first call, as only compiled code
-    speculates): the drivers ``repro explain`` runs its divergence
-    bisection over.  Order matters — the first tier (the pure
-    interpreter) is the reference the others are compared against."""
-    from ..tools import SafeSulongRunner
+    """The managed subset of the oracle matrix: the drivers ``repro
+    explain`` runs its divergence bisection over.  Order matters — the
+    first tier (the pure interpreter) is the reference the others are
+    compared against.  The optimized tier compiles from the first call,
+    as only compiled code speculates."""
     everything = make_tiers(cache_dir)
-    tiers = {name: everything[name] for name in MANAGED_TIERS}
-    tiers["speculate"] = SafeSulongRunner(tiers["interp"].config,
-                                          speculate=True, jit_threshold=1)
-    return tiers
+    return {name: everything[name] for name in MANAGED_TIERS}
 
 
 @dataclass

@@ -181,9 +181,7 @@ def format_summary_metrics(summary: dict) -> list[str]:
         f"observed): {metrics.get('instructions', 0):,} instructions, "
         f"{metrics.get('calls', 0):,} calls",
         f"  checks: {checks.get('null_checks', 0):,} null + "
-        f"{checks.get('bounds_checks', 0):,} bounds executed; "
-        f"{checks.get('elided_null', 0):,} null / "
-        f"{checks.get('elided_bounds', 0):,} bounds elided",
+        f"{checks.get('bounds_checks', 0):,} bounds executed",
         f"  jit: {jit.get('compiled', 0)} compiled "
         f"({jit.get('compile_s', 0.0) * 1000.0:.1f}ms, "
         f"{jit.get('code_bytes', 0):,} B), "

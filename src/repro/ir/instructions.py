@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .. import source
 from . import types as ty
-from .values import Value, VirtualRegister
+from .values import ConstInt, Value, VirtualRegister
 
 
 # Integer binary opcodes (signedness is in the opcode, as in LLVM).
@@ -76,10 +76,9 @@ class Alloca(Instruction):
 
 class Load(Instruction):
     """``elide`` is set by the static check-elision pass
-    (``opt/elide.py``): 0 = full dynamic checking, 1 = the pointer is
-    proven non-null (skip the null check), 2 = additionally proven
-    in-bounds of a non-freeable object (skip all access checks).  The
-    interpreter and JIT honor it only when the runtime opts in."""
+    (``opt/elide.py``): 0 = no proof, 1 = the pointer is proven
+    non-null, 2 = additionally proven in-bounds of a non-freeable
+    object.  No executor reads it: every access runs every check."""
 
     __slots__ = ("pointer", "elide")
 
@@ -123,6 +122,7 @@ class Gep(Instruction):
 
     The first index scales by the size of the pointee; subsequent indices
     step into arrays and structs.  Struct indices must be constants.
+    :func:`lower_gep` defines the address arithmetic.
     """
 
     __slots__ = ("base", "indices", "proven_nonnull")
@@ -133,8 +133,7 @@ class Gep(Instruction):
         self.base = base
         self.indices = list(indices)
         # Set by opt/elide.py: the base is statically proven to be a
-        # real object address, so the interpreter/JIT may skip the
-        # null/function-pointer dispatch when the runtime opts in.
+        # real object address.  No executor reads it.
         self.proven_nonnull = False
 
     def operands(self):
@@ -388,24 +387,53 @@ class Unreachable(Instruction):
         pass
 
 
-def gep_offset(pointee: ty.IRType, index_values: list[int]) -> tuple[int, ty.IRType]:
-    """Compute the byte offset and the final element type of a GEP.
+def lower_gep(pointee: ty.IRType, indices: list) -> tuple[int, list, ty.IRType]:
+    """Lower a GEP's indices to address arithmetic: the one definition
+    the interpreter, the JIT, the native machine, the speculation
+    planner and the pointer analysis all use, so they cannot diverge.
 
-    ``index_values`` are the evaluated (integer) indices.  The first index
-    scales by the size of ``pointee``; the rest navigate aggregates.  Both
-    executors (managed and native) share this single definition so their
-    address arithmetic cannot diverge.
+    Returns ``(offset, terms, final)``: the constant byte offset, one
+    ``(index, stride)`` term per non-constant index (in index order; it
+    adds ``signed(index) * stride`` bytes), and the type the result
+    points to.  The first index scales by the size of ``pointee``; the
+    rest navigate aggregates.  An index is a ``ConstInt``, an ``int``
+    (already evaluated), or any other value, which becomes a term.  A
+    struct index must be constant, since the field it selects decides
+    the type; a non-constant one, or a step into a non-aggregate, is a
+    TypeError (and :func:`~repro.ir.validate.validate_module` rejects
+    both).
     """
-    offset = index_values[0] * pointee.size
+    offset = 0
+    terms: list[tuple[Value, int]] = []
     current = pointee
-    for index in index_values[1:]:
-        if isinstance(current, ty.ArrayType):
-            offset += index * current.elem.size
+    for position, index in enumerate(indices):
+        if position == 0:
+            stride = current.size
+        elif isinstance(current, ty.ArrayType):
+            stride = current.elem.size
             current = current.elem
         elif isinstance(current, ty.StructType):
+            if isinstance(index, ConstInt):
+                index = index.value
+            elif not isinstance(index, int):
+                raise TypeError(f"non-constant struct index into {current}")
             field = current.fields[index]
             offset += field.offset
             current = field.type
+            continue
         else:
             raise TypeError(f"cannot GEP into {current}")
-    return offset, current
+        if isinstance(index, ConstInt):
+            offset += index.signed_value * stride
+        elif isinstance(index, int):
+            offset += index * stride
+        else:
+            terms.append((index, stride))
+    return offset, terms, current
+
+
+def gep_offset(pointee: ty.IRType, index_values: list[int]) -> tuple[int, ty.IRType]:
+    """The byte offset and the final element type of a GEP whose
+    indices are all known integers (:func:`lower_gep`)."""
+    offset, _terms, final = lower_gep(pointee, index_values)
+    return offset, final

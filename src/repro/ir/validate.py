@@ -142,6 +142,10 @@ def _check_types(func: Function, i: inst.Instruction) -> None:
             if not ty.is_int(index.type):
                 raise ValidationError(
                     f"{name}: gep index of non-integer type {index.type}")
+        try:
+            inst.lower_gep(i.base.type.pointee, i.indices)
+        except TypeError as error:
+            raise ValidationError(f"{name}: gep: {error}") from None
     elif isinstance(i, inst.Call):
         signature = i.signature
         if signature.is_varargs:

@@ -499,29 +499,7 @@ class _NativeNodeBuilder(_NodeBuilder):
     def _node_Gep(self, instruction: inst.Gep):
         dst = self.index_of(instruction.result)
         base = self.getter(instruction.base)
-        pointee = instruction.base.type.pointee
-
-        const_offset = 0
-        dynamic: list[tuple] = []
-        current = pointee
-        for position, index in enumerate(instruction.indices):
-            if position == 0:
-                stride = current.size
-            elif isinstance(current, irt.ArrayType):
-                stride = current.elem.size
-                current = current.elem
-            elif isinstance(current, irt.StructType):
-                field = current.fields[index.value]
-                const_offset += field.offset
-                current = field.type
-                continue
-            else:
-                raise TypeError(f"cannot GEP into {current}")
-            if isinstance(index, ir.ConstInt):
-                const_offset += index.signed_value * stride
-            else:
-                dynamic.append((self.getter(index), stride,
-                                index.type.bits))
+        const_offset, dynamic = self._gep_parts(instruction)
 
         if not dynamic:
             def node(frame, _off=const_offset):

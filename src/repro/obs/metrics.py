@@ -2,35 +2,23 @@
 
 Workers serialize ``Observer.snapshot()`` into their result payload;
 the campaign summary folds every per-program snapshot into one
-campaign-wide view: total checks executed/elided, JIT activity, and
+campaign-wide view: total checks executed, JIT activity, and
 heap pressure.  Pure dict math — no engine imports — so the harness
 can use it without loading the interpreter.
 """
 
 from __future__ import annotations
 
-_CHECKED_KEYS = ("check.load.full", "check.store.full")
-_BOUNDS_KEYS = ("check.load.full", "check.store.full",
-                "check.load.nonull", "check.store.nonull")
-_ELIDED_NULL_KEYS = ("check.load.nonull", "check.store.nonull",
-                     "check.load.elided", "check.store.elided")
-_ELIDED_FULL_KEYS = ("check.load.elided", "check.store.elided")
-
-
 def check_breakdown(counters: dict) -> dict:
     """Fold the raw per-site counter keys into the check-overhead view
-    used by ``repro profile`` and the campaign summary."""
-    get = counters.get
-
-    def total(keys):
-        return sum(get(key, 0) for key in keys)
-
+    used by ``repro profile`` and the campaign summary: every load and
+    store checks null and bounds, and pointer arithmetic checks what it
+    steps from."""
+    accesses = (counters.get("check.load.full", 0)
+                + counters.get("check.store.full", 0))
     return {
-        "null_checks": total(_CHECKED_KEYS) + get("check.gep", 0),
-        "bounds_checks": total(_BOUNDS_KEYS),
-        "elided_null": total(_ELIDED_NULL_KEYS)
-                       + get("check.gep.elided", 0),
-        "elided_bounds": total(_ELIDED_FULL_KEYS),
+        "null_checks": accesses + counters.get("check.gep", 0),
+        "bounds_checks": accesses,
     }
 
 

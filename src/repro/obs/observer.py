@@ -9,15 +9,12 @@ list and optionally mirrored to a JSONL trace sink.
 
 Counter key vocabulary (the profile renderer groups on these):
 
-* ``check.load.full`` / ``check.store.full`` — accesses that ran the
-  full pointer check (NULL + kind dispatch) plus the object-level
-  bounds/lifetime check;
-* ``check.load.nonull`` / ``check.store.nonull`` — accesses whose NULL
-  check was elided by proof (elide level 1) but still bounds-checked;
-* ``check.load.elided`` / ``check.store.elided`` — fully proven
-  accesses (elide level 2), no checks executed;
-* ``check.gep`` / ``check.gep.elided`` — pointer-arithmetic dispatch
-  executed vs. proven straight-line;
+* ``check.load.full`` / ``check.store.full`` — accesses, each of
+  which runs the full pointer check (NULL + kind dispatch) plus the
+  object-level bounds/lifetime check (a counting run plans no
+  speculative loop, so every access is counted here);
+* ``check.gep`` — pointer arithmetic, which dispatches on what it
+  steps from;
 * ``instructions`` — IR instructions retired (block steps +
   terminator, counted per block iteration);
 * ``calls`` — function activations (both tiers);

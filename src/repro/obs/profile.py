@@ -114,21 +114,16 @@ def render_profile(result, snapshot: dict, program: str = "") -> str:
                      "below is truncated")
 
     lines.append("")
-    lines.append("-- safety checks (executed vs elided, by kind) --")
+    lines.append("-- safety checks (executed, by kind) --")
     breakdown = check_breakdown(counters)
     rows = [
-        ("load (null+bounds)", counters.get("check.load.full", 0),
-         counters.get("check.load.nonull", 0)
-         + counters.get("check.load.elided", 0)),
-        ("store (null+bounds)", counters.get("check.store.full", 0),
-         counters.get("check.store.nonull", 0)
-         + counters.get("check.store.elided", 0)),
-        ("pointer arithmetic", counters.get("check.gep", 0),
-         counters.get("check.gep.elided", 0)),
+        ("load (null+bounds)", counters.get("check.load.full", 0)),
+        ("store (null+bounds)", counters.get("check.store.full", 0)),
+        ("pointer arithmetic", counters.get("check.gep", 0)),
     ]
-    lines.append(f"  {'kind':<22} {'executed':>12} {'elided':>12}")
-    for kind, executed, elided in rows:
-        lines.append(f"  {kind:<22} {executed:>12,} {elided:>12,}")
+    lines.append(f"  {'kind':<22} {'executed':>12}")
+    for kind, executed in rows:
+        lines.append(f"  {kind:<22} {executed:>12,}")
     lines.append(f"  null checks executed: "
                  f"{breakdown['null_checks']:,}; bounds/lifetime "
                  f"checks executed: {breakdown['bounds_checks']:,}")

@@ -359,9 +359,6 @@ def _render_outcome(result) -> dict:
 # -- tier divergence --------------------------------------------------------
 
 
-DIVERGENCE_TIERS = ("interp", "jit", "elide", "speculate")
-
-
 def bisect_output_divergence(out_marks: list, prefix_len: int):
     """Index of the first output watermark past the common stdout
     prefix, or None.  ``out_marks`` is sorted by length (stdout only
@@ -388,13 +385,14 @@ def divergence_slice(source: str, filename: str, *,
                      recorder: BlockRecorder | None = None,
                      max_steps: int | None = 5_000_000,
                      cache_dir: str | None = None) -> dict:
-    """Run the managed tier matrix (the five-way oracle's drivers plus
-    the speculative tier) and, on disagreement, bisect the interpreter
-    replay's output watermarks to the first divergent block."""
-    from ..gen.oracle import TierOutcome, managed_tiers, run_tier
+    """Run the managed tiers of the five-way oracle and, on
+    disagreement, bisect the interpreter replay's output watermarks to
+    the first divergent block."""
+    from ..gen.oracle import (MANAGED_TIERS, TierOutcome, managed_tiers,
+                              run_tier)
     runners = managed_tiers(cache_dir)
     outcomes: dict[str, TierOutcome] = {}
-    for name in DIVERGENCE_TIERS:
+    for name in MANAGED_TIERS:
         try:
             outcomes[name] = run_tier(runners[name], source, filename,
                                       max_steps=max_steps)
@@ -419,11 +417,11 @@ def divergence_slice(source: str, filename: str, *,
         for name, outcome in outcomes.items()
     }
     reference = outcomes["interp"]
-    divergent = [name for name in DIVERGENCE_TIERS[1:]
+    divergent = [name for name in MANAGED_TIERS[1:]
                  if outcomes[name].comparable() != reference.comparable()
                  or outcomes[name].internal_error]
     slice_data = {
-        "checked_tiers": list(DIVERGENCE_TIERS),
+        "checked_tiers": list(MANAGED_TIERS),
         "agree": not divergent,
         "divergent_tiers": divergent,
         "outcomes": table,

@@ -14,8 +14,7 @@ redundant:
   inside ``[0, size - access_size]`` of an object proven live: a stack
   or global object (which cannot be freed), or a heap object whose
   allocation site is LIVE on every path to the access.  No check of any
-  kind can fire, so the interpreter may also drop its per-access
-  exception plumbing.
+  kind can fire.
 
 With interprocedural ``summaries`` (from
 :func:`repro.analysis.interproc.analyze_module`) the proofs survive
@@ -33,9 +32,14 @@ works there — no mem2reg required; facts flow through registers, which
 are SSA even at -O0 (and the summaries are computed on the same
 unmutated IR).
 
-The annotations are inert until a :class:`~repro.core.interpreter.
-Runtime` is created with ``elide_checks=True`` — important because the
-libc module is compiled once per process and shared across engines.
+No executor reads the marks: every tier runs every check, and a
+``Runtime`` created with ``elide_checks=True`` gets the optimized tier
+(``speculate``), as under its newer spelling.  The pass runs only for
+the pipeline benchmark's ``opt`` tier, whose set-up calls
+:func:`run_module` and whose traced runs report its ``opt.elide`` span
+and mark count.  The marks ride on the libc module, which is compiled
+once per process and shared across engines, without changing what any
+engine executes.
 
 :func:`run_module` works per call-graph SCC (through
 :func:`repro.analysis.interproc.analyze_module`): an SCC whose key —
@@ -112,12 +116,10 @@ def annotate(function: ir.Function, summaries: dict) -> list[list[int]]:
     as :func:`marks` does.
 
     A function whose annotations end up *level-1 only* (no level-2
-    access, no proven gep) is reset to level 0: a bare level-1 mark
-    removes just the null/dispatch test yet changes which node shapes
-    the interpreter can pick — in particular it blocks gep+access
-    fusion for accesses whose gep lacks the matching non-null proof —
-    so with nothing else proven the marks cost more than they save
-    (this showed up as nbody's 0.98x in BENCH_elision.json)."""
+    access, no proven gep) is reset to level 0.  The rule dates from
+    when the interpreter read the marks, where a bare level-1 mark
+    blocked gep+access fusion and cost more than it saved; it stays so
+    that every function keeps the marks ``golden_elide.json`` pins."""
     before = marks(function)
     _reset(function)
     if run(function, summaries) and _level1_only(function):

@@ -154,9 +154,10 @@ def optimized_clone(function: ir.Function) -> ir.Function:
     """The safe-O2-optimized private copy of ``function``, memoized on
     the original so that one clone serves every runtime in the
     process.  An original changes after the front end in two ways, and
-    each drops the memo: new elision marks (``opt.elide``), and a link
-    that re-points one of its callees (``ir.Module.link``, e.g. libc's
-    ``strdup`` at a program's own ``malloc``).  If any pass fails, the
+    each drops the memo: new static-elision marks (``opt.elide``, which
+    no executor reads), and a link that re-points one of its callees
+    (``ir.Module.link``, e.g. libc's ``strdup`` at a program's own
+    ``malloc``).  If any pass fails, the
     original is returned — slower, never wrong — and the failure is
     recorded on the function for tests to inspect."""
     cached = getattr(function, "_safe_o2_clone", None)

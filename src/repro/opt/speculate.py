@@ -1,13 +1,12 @@
 """Speculative check elision: the analysis behind the JIT's loop guards.
 
-The paper's engine pays a dynamic check on every memory access (§3.4).
-The static elision pass (``opt/elide.py``) removes the checks it can
-*prove* away; this module handles the next tier: checks that cannot be
-proven statically but can be *speculated* away in compiled code, as
-Graal speculates and deoptimizes.  For a *counted loop* whose accesses
-stride linearly through an array, all per-iteration bounds/lifetime
-checks collapse into one loop-invariant guard evaluated at the
-preheader:
+The paper's engine pays a dynamic check on every memory access (§3.4),
+and so does every tier here: no executor removes a check on a static
+proof.  This module finds the checks that can be *speculated* away in
+compiled code, as Graal speculates and deoptimizes.  For a *counted
+loop* whose accesses stride linearly through an array, all
+per-iteration bounds/lifetime checks collapse into one loop-invariant
+guard evaluated at the preheader:
 
 * the loop is ``for (i = init; i <pred> limit; i += c)`` with ``c > 0``
   and a loop-invariant ``limit`` (header = one induction phi + compare);
@@ -310,10 +309,8 @@ def _classify_site(instruction, phi, body, defs, def_block, uses):
     if not isinstance(gep, inst.Gep) \
             or def_block.get(id(gep.result)) not in body:
         return None
-    decomposed = _decompose_gep(gep)
-    if decomposed is None:
-        return None
-    const_offset, dynamic = decomposed
+    const_offset, dynamic, _final = inst.lower_gep(gep.base.type.pointee,
+                                                   gep.indices)
     if len(dynamic) != 1:
         return None
     index_value, stride = dynamic[0]
@@ -330,10 +327,11 @@ def _classify_site(instruction, phi, body, defs, def_block, uses):
         inner = defs.get(id(base))
         if not isinstance(inner, inst.Gep):
             break
-        folded = _decompose_gep(inner)
-        if folded is None or folded[1]:
+        inner_offset, inner_terms, _final = inst.lower_gep(
+            inner.base.type.pointee, inner.indices)
+        if inner_terms:
             break  # dynamic inner index: not foldable
-        const_offset += folded[0]
+        const_offset += inner_offset
         chain.append(inner)
         base = inner.base
     elem = value_type.size
@@ -413,35 +411,6 @@ def _induction_addend(value, phi, defs):
                         and abs(addend) < (1 << phi.result.type.bits):
                     return (addend, False, False)
     return None
-
-
-def _decompose_gep(gep: inst.Gep):
-    """Mirror of the interpreter's GEP lowering: a constant byte offset
-    plus (index value, byte stride) dynamic terms.  None = unsupported
-    shape."""
-    const_offset = 0
-    dynamic: list[tuple] = []
-    current = gep.base.type.pointee
-    for position, index in enumerate(gep.indices):
-        if position == 0:
-            stride = current.size
-        elif isinstance(current, irt.ArrayType):
-            stride = current.elem.size
-            current = current.elem
-        elif isinstance(current, irt.StructType):
-            if not isinstance(index, ir.ConstInt):
-                return None
-            field = current.fields[index.value]
-            const_offset += field.offset
-            current = field.type
-            continue
-        else:
-            return None
-        if isinstance(index, ir.ConstInt):
-            const_offset += index.signed_value * stride
-        else:
-            dynamic.append((index, stride))
-    return const_offset, dynamic
 
 
 def _clean_blocks(function, cfg, defs) -> dict:

@@ -23,7 +23,7 @@ shares one warm compilation cache).  Four pieces:
   exponential backoff behind a circuit breaker, enforces admission
   control (bounded queue depth, 429-style shedding with retry-after),
   and degrades gracefully under overload by descending the degradation
-  ladder service-wide (elide → full-checks → interpreter) before
+  ladder service-wide (speculate → full-checks → interpreter) before
   shedding load.
 * :mod:`.api` — the JSON/HTTP surface (stdlib ``http.server``, no new
   dependencies): ``POST /submit``, ``GET /job/<id>`` (JSONL stream),

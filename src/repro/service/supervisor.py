@@ -21,11 +21,11 @@ The supervisor is the loop between the durable stores and the existing
   retry-after hint (the HTTP layer turns this into 429);
 * **graceful degradation** — before shedding, sustained depth above
   ``degrade_depth`` walks the whole service down the existing
-  degradation ladder (elide → full-checks → interpreter): new leases
-  run at the cheaper-to-supervise, stricter-checked rung, and the
-  service climbs back up when the queue drains.  Degrading can only
-  make runs slower or stricter, never blinder — the same invariant
-  the per-task ladder already guarantees.
+  degradation ladder (speculate → full-checks → interpreter): new
+  leases run at the cheaper-to-supervise rung, and the service climbs
+  back up when the queue drains.  Degrading can only make runs slower
+  or stricter, never blinder — the same invariant the per-task ladder
+  already guarantees.
 
 Service fault kinds (``queue-stall``, ``db-torn-write``) are
 interpreted here, keyed by the task's delivery count, so every
@@ -79,15 +79,15 @@ class Supervisor:
         self.quotas = quotas or Quotas()
         config = self.quotas.config(options)
         if tool == "safe-sulong":
-            # The service's top rung runs optimized (elision + JIT) so
-            # the degradation ladder has rungs to descend to; both are
-            # correctness-preserving (elision is proof-based, the JIT
-            # is the interpreter's semantic twin), so this changes
-            # throughput, never what gets detected.
+            # The service's top rung runs the optimized tier (safe-O2
+            # clone + JIT) so the degradation ladder has rungs to
+            # descend to; both keep every check (the JIT is the
+            # interpreter's semantic twin), so this changes throughput,
+            # never what gets detected.
             if config.jit_threshold is None:
                 from ..obs.profile import DEFAULT_JIT_THRESHOLD
                 config = config._replace(jit_threshold=DEFAULT_JIT_THRESHOLD)
-            config = config._replace(elide_checks=True)
+            config = config._replace(speculate=True)
         # The service-wide degradation ladder: index 0 is as-requested,
         # later rungs trade optimization for headroom under load.
         self.config = config

@@ -253,8 +253,8 @@ def test_examples_corpus_not_empty():
 # Reduced repros from the generative oracle (repro.gen) sweep.  Each
 # entry is a program that previously diverged between tiers (or
 # miscompiled outright); they are pinned here with their expected
-# output and must agree across interpreter, JIT, elided, native, and
-# asan executions forever after.
+# output and must agree across interpreter, JIT, optimized (interpreted
+# and compiled), native, and asan executions forever after.
 
 GEN_REGRESSIONS = {
     # Struct-by-value parameters were lowered as register values: the
@@ -328,7 +328,7 @@ def _five_tiers():
     return {
         "interp": SafeSulongRunner(jit_threshold=None),
         "jit": SafeSulongRunner(jit_threshold=1),
-        "elide": SafeSulongRunner(elide_checks=True),
+        "safe-o2": SafeSulongRunner(speculate=True),
         "speculate": SafeSulongRunner(speculate=True, jit_threshold=2),
         "native": NativeRunner(0),
         "asan": AsanRunner(0),

@@ -2,9 +2,8 @@
 
 ``golden_jit.json`` holds one SHA-256 per defined function of libc, the
 shootout programs and the bug corpus: a digest of the Python source the
-JIT generates for it on the optimized tier (static-elision marks,
-``speculate=True``, ``jit_threshold=3``), or of the reason it does not
-compile.  Loop plans, their guards and the raw accesses under them are
+JIT generates for it on the optimized tier (``speculate=True``,
+``jit_threshold=3``), or of the reason it does not compile.  Loop plans, their guards and the raw accesses under them are
 all part of that source, so a change to what the speculation analysis
 plans, or to how the JIT emits it, shows here.  Regenerate after an
 intentional change with
@@ -48,10 +47,10 @@ def compiled_source(runtime, function) -> str:
 
 
 def jit_digests() -> dict:
-    """Each program compiled, linked and elided as the engine does, then
-    every function it defines (libc's once, from the first program)
-    emitted on one runtime of the optimized tier."""
-    engine = SafeSulong(elide_checks=True, speculate=True, jit_threshold=3)
+    """Each program compiled and linked as the engine does, then every
+    function it defines (libc's once, from the first program) emitted
+    on one runtime of the optimized tier."""
+    engine = SafeSulong(speculate=True, jit_threshold=3)
     libc = libc_module()
     digests = {}
     for index, (prefix, source) in enumerate(golden_programs()):

@@ -33,12 +33,12 @@ class TestClassify:
     def test_all_agree_is_agree(self):
         report = classify(CLEAN, {
             name: outcome(name)
-            for name in ("interp", "jit", "elide", "native", "asan")})
+            for name in ("interp", "jit", "speculate", "native", "asan")})
         assert report.verdict == AGREE
 
     def test_stdout_mismatch_is_divergence(self):
         outcomes = {name: outcome(name) for name in
-                    ("interp", "jit", "elide", "native", "asan")}
+                    ("interp", "jit", "speculate", "native", "asan")}
         outcomes["jit"] = outcome("jit", stdout=b"checksum: 2\n")
         report = classify(CLEAN, outcomes)
         assert report.verdict == DIVERGENCE
@@ -47,7 +47,7 @@ class TestClassify:
     def test_false_positive_on_clean_program_is_divergence(self):
         outcomes = {"interp": outcome("interp"),
                     "jit": outcome("jit"),
-                    "elide": outcome("elide", **DETECTING)}
+                    "speculate": outcome("speculate", **DETECTING)}
         report = classify(CLEAN, outcomes)
         assert report.verdict == DIVERGENCE
         assert "false positive" in report.detail
@@ -56,40 +56,40 @@ class TestClassify:
         outcomes = {"interp": outcome("interp",
                                       internal_error="TypeError: boom"),
                     "jit": outcome("jit", **DETECTING),
-                    "elide": outcome("elide", **DETECTING)}
+                    "speculate": outcome("speculate", **DETECTING)}
         report = classify(PLANTED, outcomes)
         assert report.verdict == DIVERGENCE
         assert "internal error" in report.detail
 
     def test_quota_hit_on_bounded_program_is_divergence(self):
         outcomes = {"interp": outcome("interp", limit_exceeded=True),
-                    "jit": outcome("jit"), "elide": outcome("elide")}
+                    "jit": outcome("jit"), "speculate": outcome("speculate")}
         assert classify(CLEAN, outcomes).verdict == DIVERGENCE
 
     def test_planted_caught(self):
         outcomes = {name: outcome(name, **DETECTING)
-                    for name in ("interp", "jit", "elide")}
+                    for name in ("interp", "jit", "speculate")}
         outcomes["native"] = outcome("native", stdout=b"garbage\n")
         report = classify(PLANTED, outcomes)
         assert report.verdict == PLANTED_CAUGHT
 
     def test_native_never_compared_on_planted_programs(self):
         outcomes = {name: outcome(name, **DETECTING)
-                    for name in ("interp", "jit", "elide")}
+                    for name in ("interp", "jit", "speculate")}
         outcomes["native"] = outcome("native", status=42,
                                      stdout=b"way off\n")
         assert classify(PLANTED, outcomes).verdict == PLANTED_CAUGHT
 
     def test_planted_missed_when_nothing_detects(self):
         outcomes = {name: outcome(name)
-                    for name in ("interp", "jit", "elide")}
+                    for name in ("interp", "jit", "speculate")}
         report = classify(PLANTED, outcomes)
         assert report.verdict == PLANTED_MISSED
 
     def test_tier_split_on_planted_program_is_divergence(self):
         outcomes = {"interp": outcome("interp", **DETECTING),
                     "jit": outcome("jit", **DETECTING),
-                    "elide": outcome("elide")}  # elided the real check
+                    "speculate": outcome("speculate")}  # missed the real check
         report = classify(PLANTED, outcomes)
         assert report.verdict == DIVERGENCE
 
@@ -97,12 +97,12 @@ class TestClassify:
         wrong = dict(status=None, stdout=b"", detected=True,
                      signatures=("use-after-free@gen.c:23:28",))
         outcomes = {name: outcome(name, **wrong)
-                    for name in ("interp", "jit", "elide")}
+                    for name in ("interp", "jit", "speculate")}
         assert classify(PLANTED, outcomes).verdict == PLANTED_MISSED
 
     def test_asan_catch_rate_recorded(self):
         outcomes = {name: outcome(name, **DETECTING)
-                    for name in ("interp", "jit", "elide")}
+                    for name in ("interp", "jit", "speculate")}
         outcomes["asan"] = outcome("asan", **DETECTING)
         assert classify(PLANTED, outcomes).asan_caught
 
@@ -121,7 +121,7 @@ class TestEndToEnd:
                             tiers=shared_tiers)
         assert report.verdict == AGREE, report.detail
         assert set(report.outcomes) == \
-            {"interp", "jit", "elide", "native", "asan"}
+            {"interp", "jit", "speculate", "native", "asan"}
 
     @pytest.mark.parametrize("plant", ["spatial", "temporal"])
     def test_planted_program_is_caught(self, shared_tiers, plant):

@@ -17,16 +17,19 @@ class TestSafeSulongLadder:
         assert rungs[1].options["jit_threshold"] is None
 
     def test_elide_then_jit_full_order(self):
+        # A wire dict written while static elision ran: its option now
+        # requests the optimized tier.
         rungs = build_ladder("safe-sulong",
                              {"elide_checks": True, "jit_threshold": 5})
         assert [rung.name for rung in rungs] == [
             "as-requested", "full-checks", "interpreter"]
-        # The middle rung turns elision off but keeps the JIT; the last
-        # rung keeps full checks AND drops the JIT.  No rung ever has
-        # fewer checks than the one above it.
-        assert rungs[1].options["elide_checks"] is False
+        # The middle rung turns speculation off but keeps the JIT; the
+        # last rung keeps full checks AND drops the JIT.  No rung ever
+        # has fewer checks than the one above it.
+        assert rungs[0].options["speculate"] is True
+        assert rungs[1].options["speculate"] is False
         assert rungs[1].options["jit_threshold"] == 5
-        assert rungs[2].options["elide_checks"] is False
+        assert rungs[2].options["speculate"] is False
         assert rungs[2].options["jit_threshold"] is None
 
     def test_quota_options_survive_descent(self):

@@ -57,10 +57,12 @@ class TestHuntCompatibility:
     # Literals recorded before the engine options became one config,
     # with job ids ["a.c", "b.c"].  On a fingerprint mismatch the report
     # reopens in "w" mode, so an older checkpoint would lose its report.
+    # --elide now spells --speculate, so its campaigns are new ones.
     @pytest.mark.parametrize("flags, expected", [
         ((), "816b5271bf38e9fa"),
         (("--speculate", "--jit", "3"), "05f20bb5752ba005"),
-        (("--elide", "--prescreen", "--no-cache"), "c44b0476e0269b30"),
+        (("--elide", "--prescreen", "--no-cache"), "a26bcde1c8032cfb"),
+        (("--speculate", "--prescreen", "--no-cache"), "a26bcde1c8032cfb"),
     ])
     def test_fingerprint_resumes_older_checkpoints(self, tmp_path,
                                                    monkeypatch, flags,
@@ -74,7 +76,7 @@ class TestHuntCompatibility:
         tool, options, _ = _hunt_fingerprint_args(
             tmp_path, monkeypatch, "--speculate", "--jit", "3")
         assert [rung.name for rung in build_ladder(tool, options)] == [
-            "as-requested", "elide", "full-checks", "interpreter"]
+            "as-requested", "full-checks", "interpreter"]
 
 
 class TestResume:

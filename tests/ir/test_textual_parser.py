@@ -5,6 +5,8 @@ import pytest
 
 from repro import ir
 from repro.cfront import compile_source
+from repro.core.interpreter import Runtime
+from repro.core.intrinsics import default_intrinsics
 from repro.ir.parser import IRParseError, parse_module
 from repro.ir.printer import print_module
 from repro.native import run_native
@@ -114,6 +116,55 @@ class TestHandWrittenIR:
                 }
             """)
 
+    @pytest.mark.parametrize("index, field_value", [("1", 2), ("%i", None)])
+    def test_struct_index_lowered_alike_or_rejected(self, index, field_value):
+        # Field 1 holds 2.  A constant index reads it on every executor;
+        # a register index names no field, so the verifier rejects it
+        # and no executor falls back to field 0 (which holds 1).
+        text = PAIR_FIELD.replace("INDEX", index)
+        if field_value is None:
+            with pytest.raises(ir.ValidationError, match="struct index"):
+                ir.validate_module(parse_module(text))
+        else:
+            ir.validate_module(parse_module(text))
+        for run in _EXECUTORS:
+            if field_value is None:
+                with pytest.raises(TypeError, match="struct index"):
+                    run(parse_module(text))
+            else:
+                assert run(parse_module(text)) == field_value
+
+
+PAIR_FIELD = """
+    %pair = type { i32, i32 }
+
+    define i32 @main() {
+    entry:
+      %p.addr = alloca %pair
+      %f0 = getelementptr %pair, %pair* %p.addr, i64 0, i32 0
+      store i32 1, i32* %f0
+      %f1 = getelementptr %pair, %pair* %p.addr, i64 0, i32 1
+      store i32 2, i32* %f1
+      %i = add i32 0, 1
+      %q = getelementptr %pair, %pair* %p.addr, i64 0, i32 INDEX
+      %v = load i32, i32* %q
+      ret i32 %v
+    }
+"""
+
+
+def _managed(module, **options):
+    runtime = Runtime(module, intrinsics=default_intrinsics(), **options)
+    status = runtime.run_main()
+    assert runtime.compile_errors == []
+    return status
+
+
+# The interpreter, the JIT (compiling main at its first call), and the
+# native machine.
+_EXECUTORS = [_managed,
+              lambda module: _managed(module, jit_threshold=1),
+              lambda module: run_native(module).status]
 
 SOURCES = [
     """

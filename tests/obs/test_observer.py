@@ -49,18 +49,6 @@ class TestCounters:
         # malloc/free resolve to intrinsics.
         assert counters["intrinsic.calls"] >= 2
 
-    def test_elision_moves_checks_to_elided_buckets(self):
-        full = Observer(enabled=True)
-        _run(COUNT_PROGRAM, full)
-        elided = Observer(enabled=True)
-        _run(COUNT_PROGRAM, elided, elide_checks=True)
-        elided_total = sum(
-            count for key, count in elided.counters.items()
-            if key.endswith(".elided") or key.endswith(".nonull"))
-        assert elided_total > 0
-        assert elided.counters["check.load.full"] \
-            < full.counters["check.load.full"]
-
     def test_heap_accounting(self):
         observer = Observer(enabled=True)
         _run(COUNT_PROGRAM, observer)

@@ -82,12 +82,25 @@ class TestHotChecks:
 
 class TestCacheRows:
     def test_class_rows_add_up_to_the_totals(self, tmp_path):
-        # With --elide the analysis tier does most of the lookups; every
+        # A run consults the frontend class and the elision pass the
+        # analysis class, both through the engine's observer; every
         # artifact class must get a row, or the rows undercount.
         from repro.cache import CompilationCache
-        result, snapshot = profile_source(
-            HOT_PROGRAM, cache=CompilationCache(str(tmp_path)),
-            elide_checks=True)
+        from repro.core import EngineConfig, SafeSulong
+        from repro.obs import Observer
+        from repro.opt import elide
+        observer = Observer(enabled=True)
+        cache = CompilationCache(str(tmp_path))
+        engine = SafeSulong(EngineConfig(jit_threshold=3),
+                            observer=observer, cache=cache)
+        module = engine.compile(HOT_PROGRAM, "hot.c")
+        elide.run_module(module, cache=cache)
+        result = engine.run_module(module)
+        observer.close()
+        snapshot = observer.snapshot()
+        counters = snapshot["counters"]
+        for artifact in ("frontend", "analysis"):
+            assert counters.get(f"cache.{artifact}.miss", 0) > 0, artifact
         text = render_profile(result, snapshot, program="hot.c")
         section = text.split("-- compilation cache --\n", 1)[1]
         section = section.split("\n\n", 1)[0]
@@ -108,18 +121,12 @@ class TestCacheRows:
 
 class TestCheckBreakdown:
     def test_buckets(self):
-        counters = {
-            "check.load.full": 10, "check.load.nonull": 5,
-            "check.store.full": 3, "check.gep": 7,
-            "check.load.elided": 2, "check.gep.elided": 1,
-        }
-        breakdown = check_breakdown(counters)
-        # NULL checks run on full loads/stores and on gep dispatch.
-        assert breakdown["null_checks"] == 10 + 3 + 7
-        # Bounds/lifetime checks run on full and nonull accesses.
-        assert breakdown["bounds_checks"] == 10 + 5 + 3
-        assert breakdown["elided_null"] == 5 + 2 + 1
-        assert breakdown["elided_bounds"] == 2
+        counters = {"check.load.full": 10, "check.store.full": 3,
+                    "check.gep": 7}
+        # NULL checks run on loads/stores and on gep dispatch; bounds/
+        # lifetime checks on loads/stores.
+        assert check_breakdown(counters) == {"null_checks": 10 + 3 + 7,
+                                             "bounds_checks": 10 + 3}
 
 
 class TestAggregateMetrics:
