@@ -495,7 +495,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     import os
 
     from .gen import (GenConfig, choose_plant, generate, reduce_source,
-                      run_oracle, sweep)
+                      sweep)
     from .gen import selftest as gen_selftest
     from .gen.reduce import oracle_predicate
 

@@ -15,7 +15,7 @@ from ..obs.spans import span
 from . import leakcheck
 from .config import EngineConfig
 from .errors import (BugReport, DeoptSignal, InterpreterLimit, ProgramBug,
-                     ProgramCrash, ProgramExit)
+                     ProgramCrash)
 from .interpreter import Runtime
 from .intrinsics import default_intrinsics
 

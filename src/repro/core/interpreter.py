@@ -12,6 +12,7 @@ counter per function drives the dynamic-compilation tier in
 from __future__ import annotations
 
 import math
+import weakref
 
 from .. import ir
 from ..ir import instructions as inst
@@ -695,23 +696,29 @@ def _use_counts(function: ir.Function) -> dict[int, int]:
     return counts
 
 
+def _located(error: ProgramBug, loc, function: str | None = None):
+    """``error`` with ``loc`` attached and, given ``function``, that
+    activation noted, ready to raise.  Raise sites raise the result
+    directly: an exception bound to a local would reach its own frame
+    through its traceback, and so keep every frame of the unwind alive,
+    the engine's runtime included."""
+    error.attach_location(loc)
+    if function is not None:
+        error.note_frame(function, loc)
+    return error
+
+
 def _check_pointer(value, loc):
     if value is None:
-        error = NullDereferenceError("NULL dereference")
-        error.attach_location(loc)
-        raise error
+        raise _located(NullDereferenceError("NULL dereference"), loc)
     if type(value) is mo.Address:
         if value.pointee is None:
-            error = NullDereferenceError(
-                f"dereference of invalid pointer 0x{value.offset:x}")
-            error.attach_location(loc)
-            raise error
+            raise _located(NullDereferenceError(
+                f"dereference of invalid pointer 0x{value.offset:x}"), loc)
         return value
     if isinstance(value, ir.Function):
-        error = TypeViolationError(
-            f"data access through function pointer @{value.name}")
-        error.attach_location(loc)
-        raise error
+        raise _located(TypeViolationError(
+            f"data access through function pointer @{value.name}"), loc)
     return value
 
 
@@ -955,12 +962,10 @@ class _NodeBuilder:
                         bug.note_frame(frame.function, loc)
                         raise
                 elif address is None:
-                    error = NullDereferenceError(
+                    raise _located(NullDereferenceError(
                         f"dereference of invalid pointer 0x{offset:x}"
-                        if offset else "NULL dereference")
-                    error.attach_location(loc)
-                    error.note_frame(frame.function, loc)
-                    raise error
+                        if offset else "NULL dereference"),
+                        loc, frame.function)
                 else:
                     _bad_gep(address, gep_loc)
             return node
@@ -984,12 +989,10 @@ class _NodeBuilder:
                     bug.note_frame(frame.function, loc)
                     raise
             elif address is None:
-                error = NullDereferenceError(
+                raise _located(NullDereferenceError(
                     f"dereference of invalid pointer 0x{offset:x}"
-                    if offset else "NULL dereference")
-                error.attach_location(loc)
-                error.note_frame(frame.function, loc)
-                raise error
+                    if offset else "NULL dereference"),
+                    loc, frame.function)
             else:
                 _bad_gep(address, gep_loc)
         return node
@@ -999,7 +1002,6 @@ class _NodeBuilder:
         allocated = instruction.allocated_type
         name = instruction.var_name
         loc = instruction.loc
-        runtime = self.runtime
 
         def node(frame):
             obj = mo.allocate(allocated, name, "stack", loc)
@@ -1300,7 +1302,10 @@ class _NodeBuilder:
         arg_types = [arg.type for arg in instruction.args]
         signature = instruction.signature
         n_fixed = len(signature.params)
-        runtime = self.runtime
+        # The runtime holds its prepared functions, and they hold these
+        # nodes: a node that captured the runtime would make every run
+        # cyclic garbage.  Each executed call dereferences it once.
+        runtime_ref = weakref.ref(self.runtime)
         loc = instruction.loc
         callee = instruction.callee
         site_id = id(instruction)
@@ -1319,11 +1324,12 @@ class _NodeBuilder:
                 # and quota configs take the full protocol path.
                 fixed_arity = len(instruction.args) == n_fixed
                 fast = (self.obs is None
-                        and runtime.max_call_depth is None
-                        and runtime.jit_threshold is None)
+                        and self.runtime.max_call_depth is None
+                        and self.runtime.jit_threshold is None)
                 cell: list = [None]
 
                 def node(frame, _target=callee):
+                    runtime = runtime_ref()
                     prepared = cell[0]
                     if prepared is None:
                         prepared = runtime.prepared_function(_target)
@@ -1360,9 +1366,15 @@ class _NodeBuilder:
                 return node
 
             handler_name = callee.name
+            handler = self.runtime.intrinsics.get(handler_name)
+            if handler is None:
+                # The LinkError surfaces at the first call, not here.
+                def node(frame):
+                    runtime_ref().intrinsic(handler_name)
+                return node
 
             def node(frame):
-                handler = runtime.intrinsic(handler_name)
+                runtime = runtime_ref()
                 runtime.current_site = site_id
                 runtime.current_loc = loc
                 try:
@@ -1387,7 +1399,7 @@ class _NodeBuilder:
         counters = self.obs.counters if self.obs is not None else None
         observer = self.obs
 
-        def resolve(target):
+        def resolve(runtime, target):
             if observer is not None and observer.enabled:
                 # Once per distinct (site, target): the inline cache
                 # absorbs every later dispatch to this target.
@@ -1399,17 +1411,14 @@ class _NodeBuilder:
         def node(frame):
             target = target_getter(frame)
             if target is None:
-                error = NullDereferenceError("call through NULL function "
-                                             "pointer")
-                error.attach_location(loc)
-                error.note_frame(frame.function, loc)
-                raise error
+                raise _located(NullDereferenceError(
+                    "call through NULL function pointer"),
+                    loc, frame.function)
             if isinstance(target, mo.Address):
-                error = TypeViolationError(
-                    "call through pointer to a data object")
-                error.attach_location(loc)
-                error.note_frame(frame.function, loc)
-                raise error
+                raise _located(TypeViolationError(
+                    "call through pointer to a data object"),
+                    loc, frame.function)
+            runtime = runtime_ref()
             if target is ic[0]:
                 resolved = ic[1]
                 if counters is not None:
@@ -1425,14 +1434,14 @@ class _NodeBuilder:
                 if mega is not None:
                     resolved = mega.get(target)
                     if resolved is None:
-                        resolved = resolve(target)
+                        resolved = resolve(runtime, target)
                         mega[target] = resolved
                         if counters is not None:
                             counters["icall.miss"] += 1
                     elif counters is not None:
                         counters["icall.mega.hit"] += 1
                 else:
-                    resolved = resolve(target)
+                    resolved = resolve(runtime, target)
                     if counters is not None:
                         counters["icall.miss"] += 1
                     if ic[0] is None:
@@ -1498,10 +1507,8 @@ class _NodeBuilder:
 
 
 def _bad_gep(value, loc):
-    error = TypeViolationError(
-        "pointer arithmetic on a non-pointer value")
-    error.attach_location(loc)
-    raise error
+    raise _located(TypeViolationError(
+        "pointer arithmetic on a non-pointer value"), loc)
 
 
 def _pack_args(values: list, types: list, n_fixed: int) -> list:

@@ -99,9 +99,13 @@ def _new_heap_memory(runtime, size: int) -> mo.Address:
             runtime.heap_objects.append(obj)
         return mo.Address(obj, 0)
 
+    # The callback captures the memo, not the runtime: every untyped
+    # heap object holds it, and the runtime holds the heap.
+    memo = runtime.alloc_site_memo
+
     def remember(used_factory, _site=site):
         if _site is not None:
-            runtime.alloc_site_memo[_site] = used_factory
+            memo[_site] = used_factory
 
     obj = mo.HeapUntypedMemory(size, label, on_materialize=remember)
     if loc is not None:

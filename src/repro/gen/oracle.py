@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .generator import GenConfig, GeneratedProgram, choose_plant, generate
+from .generator import GenConfig, choose_plant, generate
 
 TIER_NAMES = ("interp", "jit", "speculate", "native", "asan")
 MANAGED_TIERS = ("interp", "jit", "speculate")

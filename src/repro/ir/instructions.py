@@ -399,9 +399,9 @@ def lower_gep(pointee: ty.IRType, indices: list) -> tuple[int, list, ty.IRType]:
     rest navigate aggregates.  An index is a ``ConstInt``, an ``int``
     (already evaluated), or any other value, which becomes a term.  A
     struct index must be constant, since the field it selects decides
-    the type; a non-constant one, or a step into a non-aggregate, is a
-    TypeError (and :func:`~repro.ir.validate.validate_module` rejects
-    both).
+    the type; a non-constant one, one that names no field, or a step
+    into a non-aggregate, is a TypeError (and
+    :func:`~repro.ir.validate.validate_module` rejects all three).
     """
     offset = 0
     terms: list[tuple[Value, int]] = []
@@ -414,9 +414,12 @@ def lower_gep(pointee: ty.IRType, indices: list) -> tuple[int, list, ty.IRType]:
             current = current.elem
         elif isinstance(current, ty.StructType):
             if isinstance(index, ConstInt):
-                index = index.value
+                index = index.signed_value
             elif not isinstance(index, int):
                 raise TypeError(f"non-constant struct index into {current}")
+            if not 0 <= index < len(current.fields):
+                raise TypeError(f"struct index {index} out of range for "
+                                f"{current}")
             field = current.fields[index]
             offset += field.offset
             current = field.type

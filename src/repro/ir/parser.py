@@ -493,9 +493,14 @@ class ModuleParser:
                 index_type = self.parse_type(tokens)
                 index = self.parse_value(index_type, tokens)
                 indices.append(index)
-                index_values.append(index.value
+                index_values.append(index.signed_value
                                     if isinstance(index, ConstInt) else 0)
-            _offset, final = inst.gep_offset(pointee, index_values)
+            try:
+                _offset, final = inst.gep_offset(pointee, index_values)
+            except TypeError as error:
+                raise IRParseError(
+                    f"line {tokens.line_no}: getelementptr: {error}") \
+                    from None
             result = self._result_register(result_name,
                                            ty.PointerType(final))
             return inst.Gep(result, base, indices, loc=loc)

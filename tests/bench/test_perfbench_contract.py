@@ -2,13 +2,15 @@
 
 Tier-1 does not run the benchmark: it sits outside ``testpaths``, and
 each of its shootout smoke cases takes about 25 s.  This test imports
-the benchmark's workload modules the way ``perfbench/run.py`` does and
-drives its shootout tiers on one small program, so a change to any
-name, option or attribute the benchmark reaches fails here first.
+the benchmark's workload modules the way ``perfbench/run.py`` does,
+drives its shootout tiers on one small program and runs one corpus
+verdict, so a change to any name, option or attribute the benchmark
+reaches fails here first.
 """
 
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.cfront import compile_source
 from repro.core.errors import ProgramExit
 from repro.core.interpreter import Runtime
 from repro.core.intrinsics import default_intrinsics
+from repro.corpus.manifest import ENTRIES
 from repro.libc import include_dir, libc_module
 
 PERFBENCH = os.path.join(
@@ -46,13 +49,14 @@ def workloads():
     top-level module."""
     sys.path.insert(0, PERFBENCH)
     try:
-        import corpus  # noqa: F401
+        import corpus
         import serve  # noqa: F401
         import shootout
         import tracing
     finally:
         sys.path.remove(PERFBENCH)
-    return shootout, tracing
+    return SimpleNamespace(corpus=corpus, shootout=shootout,
+                           tracing=tracing)
 
 
 def _iterate(runtime: Runtime) -> bytes:
@@ -66,8 +70,8 @@ def _iterate(runtime: Runtime) -> bytes:
 
 
 def test_shootout_tiers_run_what_the_benchmark_reads(workloads):
-    shootout, tracing = workloads
-    tracer = tracing.Tracer()
+    shootout = workloads.shootout
+    tracer = workloads.tracing.Tracer()
     unit = compile_source(SOURCE, filename="contract.c",
                           include_dirs=[include_dir()],
                           defines={"__SAFE_SULONG__": "1"})
@@ -93,3 +97,31 @@ def test_shootout_tiers_run_what_the_benchmark_reads(workloads):
             assert runtime.compiled_functions >= 1 and plans >= 1
     assert tracer.by_subject("opt.safe_o2")["main"] > 0
     assert tracer.by_subject("opt.speculate")["main"] > 0
+
+
+class _Checks:
+    """The part of perfbench's run context that a verdict uses."""
+
+    def __init__(self):
+        self.attempted = 0
+        self.failures: list[str] = []
+
+    def check(self, ok: bool, reason: str) -> bool:
+        self.attempted += 1
+        if not ok:
+            self.failures.append(reason)
+        return ok
+
+
+def test_corpus_verdict_reads_the_finished_runtime(workloads):
+    # The traced corpus pass reads the runtime of a finished verdict:
+    # its prepared functions and its steps.
+    corpus = workloads.corpus
+    entry = next(entry for entry in ENTRIES
+                 if entry.name == "null_list_head")
+    ctx = _Checks()
+    result = corpus.Result()
+    corpus.verdict(ctx, entry, entry.source(), result)
+    assert (ctx.attempted, ctx.failures) == (1, [])
+    assert result.metrics["core.prepared_functions"] > 0
+    assert result.metrics["core.steps"] > 0

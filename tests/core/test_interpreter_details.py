@@ -3,8 +3,12 @@ identity, the virtual address space."""
 
 import pytest
 
+from repro import ir
 from repro.core import objects as mo
+from repro.core.interpreter import Runtime
+from repro.core.intrinsics import default_intrinsics
 from repro.ir import types as ty
+from repro.ir.parser import parse_module
 
 
 class TestUncommonWidths:
@@ -68,6 +72,38 @@ class TestFunctionPointerDispatch:
                 return (p == q) + (p != r) * 10;
             }
         """).status == 11
+
+
+class TestIntrinsicCalls:
+    # main calls @absent only when given an argument.
+    ABSENT = """
+        declare i32 @absent(i32)
+
+        define i32 @main(i32 %argc) {
+        entry:
+          %c = icmp eq i32 %argc, 2
+          br i1 %c, label %call, label %done
+        call:
+          %r = call i32 @absent(i32 1)
+          ret i32 %r
+        done:
+          ret i32 7
+        }
+    """
+
+    @pytest.mark.parametrize("jit_threshold", [None, 1])
+    def test_missing_intrinsic_fails_at_its_first_call(self, jit_threshold):
+        # A call node looks its handler up when its function is
+        # prepared; a missing one is still a LinkError only when the
+        # call runs.
+        module = parse_module(self.ABSENT)
+        runtime = Runtime(module, intrinsics=default_intrinsics(),
+                          jit_threshold=jit_threshold)
+        assert runtime.run_main(["program"]) == 7
+        runtime = Runtime(module, intrinsics=default_intrinsics(),
+                          jit_threshold=jit_threshold)
+        with pytest.raises(ir.LinkError, match="@absent"):
+            runtime.run_main(["program", "argument"])
 
 
 class TestAddressSpace:

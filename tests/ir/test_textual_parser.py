@@ -116,12 +116,20 @@ class TestHandWrittenIR:
                 }
             """)
 
-    @pytest.mark.parametrize("index, field_value", [("1", 2), ("%i", None)])
+    @pytest.mark.parametrize("index, field_value", [
+        ("1", 2), ("%i", None),
+        ("2", IRParseError), ("5", IRParseError), ("-1", IRParseError)])
     def test_struct_index_lowered_alike_or_rejected(self, index, field_value):
         # Field 1 holds 2.  A constant index reads it on every executor;
         # a register index names no field, so the verifier rejects it
-        # and no executor falls back to field 0 (which holds 1).
+        # and no executor falls back to field 0 (which holds 1).  A
+        # constant index past either end of the struct names no field
+        # either: the parser rejects it.
         text = PAIR_FIELD.replace("INDEX", index)
+        if field_value is IRParseError:
+            with pytest.raises(IRParseError, match="struct index"):
+                parse_module(text)
+            return
         if field_value is None:
             with pytest.raises(ir.ValidationError, match="struct index"):
                 ir.validate_module(parse_module(text))
