@@ -130,19 +130,21 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"effect with --tool {args.tool}", file=sys.stderr)
     source = _read_source(args.program)
     stdin = sys.stdin.buffer.read() if args.stdin else b""
+    # This run's job spec: what --manifest records and what the worker
+    # runs under --timeout.
+    spec = {"source": source, "filename": args.program,
+            "argv": [args.program, *args.args],
+            "max_steps": args.max_steps}
+    if args.program != "-":
+        import os
+        spec["path"] = os.path.abspath(args.program)
+    if stdin:
+        spec["stdin_b64"] = base64.b64encode(stdin).decode("ascii")
 
     if args.manifest:
         import json
         from .obs.replay import build_manifest
-        import os
-        manifest = build_manifest(
-            tool=args.tool, options=options, source=source,
-            path=os.path.abspath(args.program)
-            if args.program != "-" else None,
-            filename=args.program, argv=[args.program, *args.args],
-            stdin_b64=base64.b64encode(stdin).decode("ascii")
-            if stdin else None,
-            max_steps=args.max_steps)
+        manifest = build_manifest(spec, tool=args.tool, options=options)
         with open(args.manifest, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -159,13 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("warning: --heap-dump is unavailable with --timeout "
                   "(the heap dies with the worker process)",
                   file=sys.stderr)
-        payload = {
-            "id": args.program, "source": source,
-            "filename": args.program,
-            "argv": [args.program, *args.args],
-            "stdin_b64": base64.b64encode(stdin).decode("ascii"),
-            "max_steps": args.max_steps,
-        }
+        payload = dict(spec, id=args.program)
         if args.metrics:
             payload["collect_metrics"] = True
         if args.trace_spans:
@@ -385,32 +381,12 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     return 1 if triage["tool-error"] else 0
 
 
-def _pick_record(path: str, wanted: str | None) -> dict | None:
-    """First matching result record from a hunt-report JSONL: by job id
-    when ``wanted`` is given, else the first bug-triaged record."""
-    import json
-    fallback = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if data.get("type") != "result":
-                continue
-            if wanted is not None:
-                if data.get("id") == wanted:
-                    return data
-            elif fallback is None and data.get("triage") == "bug":
-                fallback = data
-    return fallback
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     import json
 
-    from .obs.replay import (ReplayError, build_manifest, explain,
-                             explain_record)
+    from .harness.report import read_report
+    from .harness.worker import ProgramError
+    from .obs.replay import build_manifest, explain, explain_record
     from .obs.slices import render_text, validate_packet
 
     if args.selftest:
@@ -439,15 +415,19 @@ def cmd_explain(args: argparse.Namespace) -> int:
                   cache_dir=args.cache_dir)
     try:
         if args.target.endswith(".jsonl"):
-            record = _pick_record(args.target, args.id)
-            if record is None:
+            records, _summary = read_report(args.target)
+            if args.id is not None:
+                matching = [r for r in records if r["id"] == args.id]
+            else:
+                matching = [r for r in records if r.get("triage") == "bug"]
+            if not matching:
                 print("explain: no matching record "
                       + (f"with id {args.id!r}" if args.id
                          else "triaged as a bug")
                       + f" in {args.target} (pick one with --id)",
                       file=sys.stderr)
                 return 2
-            packet = explain_record(record, source, **kwargs)
+            packet = explain_record(matching[0], source, **kwargs)
         elif args.target.endswith(".json"):
             with open(args.target, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -459,15 +439,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
                           "manifest nor a gen program manifest",
                           file=sys.stderr)
                     return 2
-                data = build_manifest(filename=data.get("filename"),
-                                      gen=data)
+                data = build_manifest({"filename": data.get("filename"),
+                                       "gen": data})
             packet = explain(data, source, **kwargs)
         else:
             text = _read_source(args.target)
-            manifest = build_manifest(source=text, filename=args.target,
-                                      max_steps=args.max_steps)
+            manifest = build_manifest({"source": text,
+                                       "filename": args.target,
+                                       "max_steps": args.max_steps})
             packet = explain(manifest, text, **kwargs)
-    except ReplayError as error:
+    except ProgramError as error:
         print(f"explain: {error}", file=sys.stderr)
         return 2
     except OSError as error:

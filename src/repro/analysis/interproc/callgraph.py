@@ -84,18 +84,6 @@ class CallGraph:
         """Defined functions ``name`` may call (direct + indirect)."""
         return set(self.edges.get(name, ()))
 
-    def targets_of(self, call: inst.Call) -> frozenset[str] | None:
-        """Resolved target names of a call: a singleton for direct
-        calls, the points-to set for indirect ones, None if unknown."""
-        callee = call.callee
-        if isinstance(callee, ir.Function):
-            return frozenset((callee.name,))
-        if isinstance(callee, irv.GlobalValue) and \
-                not isinstance(callee, irv.VirtualRegister):
-            return frozenset((callee.name,))
-        site = self.indirect_sites.get(id(call))
-        return site.targets if site is not None else None
-
     # -- direct edges & address-taken ---------------------------------------
 
     def _collect_direct_and_address_taken(self) -> None:

@@ -81,8 +81,7 @@ class NativeSession(Session):
 
     def __init__(self, source: str, opt_level: int = 0,
                  tool_factory=None, name: str | None = None,
-                 filename: str = "bench.c",
-                 prepare_eagerly: bool = False):
+                 filename: str = "bench.c"):
         self.name = name or f"clang-O{opt_level}"
         self.module = compile_native(source, filename=filename,
                                      opt_level=opt_level)
@@ -90,10 +89,6 @@ class NativeSession(Session):
             instrument_module(self.module)
         self.tool_factory = tool_factory
         self.machine = self._new_machine()
-        if prepare_eagerly:
-            for function in self.module.functions.values():
-                if function.is_definition:
-                    self.machine.prepared_function(function)
 
     def _new_machine(self) -> NativeMachine:
         tool = self.tool_factory() if self.tool_factory else None

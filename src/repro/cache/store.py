@@ -44,10 +44,6 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def hash_key(*parts) -> str:
     """Content hash over an arbitrary JSON-able key structure."""
     canon = json.dumps(parts, sort_keys=True, separators=(",", ":"))

@@ -79,12 +79,6 @@ class CInt(CType):
         return 1 if self.kind == "bool" else self.size * 8
 
     @property
-    def min_value(self) -> int:
-        if not self.signed:
-            return 0
-        return -(1 << (self.bits - 1))
-
-    @property
     def max_value(self) -> int:
         if not self.signed:
             return (1 << self.bits) - 1

@@ -52,11 +52,6 @@ class Preprocessor:
         body = lexer.tokenize(value, f"<define:{name}>")
         self.macros[name] = Macro(name, body)
 
-    def process_file(self, path: str) -> list[Token]:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        return self.process_text(text, path)
-
     def process_text(self, text: str, filename: str) -> list[Token]:
         tokens = lexer.tokenize(text, filename)
         lines = _split_lines(tokens)

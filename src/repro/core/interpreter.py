@@ -25,8 +25,9 @@ from .errors import (CallDepthExceeded, DeoptSignal, InterpreterLimit,
 
 
 class Frame:
+    # ``machine`` is set by the native machine on its own frames only.
     __slots__ = ("regs", "varargs", "vararg_boxes", "function",
-                 "stack_objects", "va_base", "saved_sp")
+                 "stack_objects", "va_base", "saved_sp", "machine")
 
     def __init__(self, nregs: int, function_name: str):
         self.regs: list = [None] * nregs

@@ -668,12 +668,15 @@ class _Emitter:
 
 def _speculation_state(function: ir.Function):
     """The loop plans of ``function``, memoized on it: analysis depends
-    only on the IR, which is immutable once a runtime prepares it."""
+    only on the IR, which is immutable once a runtime prepares it.  Each
+    analysis, not a memo hit, is one ``opt.speculate`` span."""
     state = getattr(function, "_spec_state_memo", None)
     if state is None:
+        from ..obs.spans import span
         from ..opt import speculate
-        state = speculate.SpeculationState(
-            speculate.analyze_function(function))
+        with span("opt.speculate", of=function.name):
+            state = speculate.SpeculationState(
+                speculate.analyze_function(function))
         function._spec_state_memo = state
     return state
 

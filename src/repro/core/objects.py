@@ -119,9 +119,6 @@ class Address:
     def moved(self, delta: int) -> "Address":
         return Address(self.pointee, self.offset + delta)
 
-    def is_null(self) -> bool:
-        return self.pointee is None
-
     def __repr__(self) -> str:
         if self.pointee is None:
             return f"Address(NULL+{self.offset})"

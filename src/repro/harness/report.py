@@ -109,32 +109,17 @@ class CampaignReport:
     def _load_previous_records(self) -> None:
         """Pull the completed runs' records back in so the final summary
         covers the whole campaign, not just the resumed tail."""
-        by_id: dict[str, dict] = {}
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        # A torn final line is a result that was never
-                        # fully written; its id stays incomplete.
-                        continue
-                    if record.get("type") == "result" \
-                            and record.get("id"):
-                        by_id[record["id"]] = record
+            self.previous_records, _summary = read_report(self.path)
         except OSError:
-            pass
-        self.previous_records = list(by_id.values())
+            self.previous_records = []
+        done = {record["id"] for record in self.previous_records}
         # The intact report lines are the durable truth.  Ids the
         # checkpoint missed (crash between the two appends) get their
         # checkpoint line backfilled in open(); checkpoint ids with no
         # surviving report line must re-run.
-        self._checkpoint_backfill = sorted(
-            set(by_id) - self.completed)
-        self.completed = set(by_id)
+        self._checkpoint_backfill = sorted(done - self.completed)
+        self.completed = done
 
     # -- streaming writes ---------------------------------------------------------
 
@@ -220,19 +205,20 @@ def format_summary_metrics(summary: dict) -> list[str]:
 
 
 def read_report(path: str) -> tuple[list[dict], dict | None]:
-    """Read a report back: (last result record per id, last summary)."""
+    """Read a report back: (last result record per id, last summary).
+    The one reader of hunt reports: campaign resume, the selftests and
+    ``repro explain`` all use it.  A line that does not parse — the torn
+    tail a killed hunt leaves — is a result never fully written, and is
+    skipped."""
     records: dict[str, dict] = {}
     summary = None
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
                 record = json.loads(line)
             except ValueError:
                 continue
-            if record.get("type") == "result":
+            if record.get("type") == "result" and record.get("id"):
                 records[record["id"]] = record
             elif record.get("type") == "summary":
                 summary = record

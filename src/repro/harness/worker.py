@@ -8,14 +8,20 @@ a worker crash and fed to the retry/degradation machinery.  The process
 boundary is the isolation guarantee: nothing a hostile program does to
 this interpreter — segfault-grade internal errors, runaway allocation,
 wedged loops — can touch the campaign or its sibling workers.
+
+A job is a *job spec*, as are service tasks and replay manifests:
+:func:`locate_program` is the one place that decides which program and
+inputs a spec names.  It lives here because every worker needs it.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import sys
 import traceback
+from typing import NamedTuple
 
 from ..core.engine import ExecutionResult
 from . import faults
@@ -23,6 +29,14 @@ from . import faults
 # Keep captured program output in the report bounded even when the
 # engine-side output quota is disabled.
 MAX_CAPTURED_OUTPUT = 4 * 1024 * 1024
+
+# Worker jobs, pool payloads, service tasks and replay manifests are
+# all job specs.  One names its program by one of PROGRAM_KEYS, tried in
+# this order; SPEC_KEYS adds the program's name, inputs and step budget,
+# which is all a service submission may set.
+PROGRAM_KEYS = ("source", "corpus_entry", "path")
+SPEC_KEYS = PROGRAM_KEYS + ("filename", "argv", "stdin_b64", "vfs_b64",
+                            "max_steps")
 
 
 def _b64(data: bytes) -> str:
@@ -105,30 +119,100 @@ def _limit_result(tool: str, message: str) -> dict:
         tool, limit_exceeded=True, crash_message=message))
 
 
-def _load_source(job: dict) -> tuple[str, str, dict]:
-    """Resolve the program: inline source, a file path, or a corpus
-    entry by name.  Returns (source, filename, extra-run-kwargs)."""
-    if job.get("corpus_entry"):
-        from ..corpus.manifest import ENTRIES
-        for entry in ENTRIES:
-            if entry.name == job["corpus_entry"]:
-                return entry.source(), entry.name + ".c", {
-                    "argv": entry.argv, "stdin": entry.stdin,
-                    "vfs": entry.vfs}
-        raise ValueError(f"unknown corpus entry {job['corpus_entry']!r}")
-    if job.get("source") is not None:
-        source = job["source"]
-        filename = job.get("filename") or "program.c"
-    else:
-        path = job["path"]
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            source = handle.read()
-        filename = path
-    argv = job.get("argv")
-    stdin = base64.b64decode(job.get("stdin_b64", ""))
+class ProgramError(Exception):
+    """A job spec does not locate its program."""
+
+
+class ProgramMismatch(ProgramError):
+    """The located program is not the recorded one (digest mismatch)."""
+
+
+class Program(NamedTuple):
+    """A job's program and inputs, as :meth:`ToolRunner.run` takes them."""
+    source: str
+    filename: str
+    argv: list | None
+    stdin: bytes
+    vfs: dict
+
+
+def source_digest(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def locate_program(spec: dict) -> Program:
+    """The one rule for which program and inputs a job spec names.
+
+    The program is the inline ``source``; else the ``corpus_entry``,
+    whose own name, argv, stdin and files come with it; else the file at
+    ``path``, regenerated from the recorded ``gen`` tuple only when the
+    file is gone or fails its digest.  It is named ``filename``, else
+    its path, else ``program.c``.  A spec that records
+    ``source_sha256`` must locate exactly that program."""
+    filename = spec.get("filename") or spec.get("path") or "program.c"
+    argv = spec.get("argv")
+    stdin = base64.b64decode(spec.get("stdin_b64") or "")
     vfs = {name: base64.b64decode(data)
-           for name, data in (job.get("vfs_b64") or {}).items()}
-    return source, filename, {"argv": argv, "stdin": stdin, "vfs": vfs}
+           for name, data in (spec.get("vfs_b64") or {}).items()}
+    source, origin = spec.get("source"), "the supplied source"
+    if source is None and spec.get("corpus_entry"):
+        from ..corpus.manifest import by_name
+        try:
+            entry = by_name(spec["corpus_entry"])
+        except KeyError:
+            raise ProgramError(f"unknown corpus entry "
+                               f"{spec['corpus_entry']!r}") from None
+        source, origin = entry.source(), f"corpus entry {entry.name!r}"
+        filename, argv, stdin, vfs = (entry.name + ".c", entry.argv,
+                                      entry.stdin, entry.vfs)
+    elif source is None:
+        source, origin = _read_or_regenerate(spec)
+    problem = _mismatch(source, spec, origin)
+    if problem:
+        raise ProgramMismatch(problem)
+    return Program(source, filename, argv, stdin, vfs)
+
+
+def _mismatch(source: str, spec: dict, origin: str) -> str | None:
+    """Why ``source`` is not the program ``spec`` recorded, if it is not."""
+    want = spec.get("source_sha256")
+    if want is None:
+        return None
+    have = source_digest(source)
+    if have == want:
+        return None
+    return (f"{origin} does not match the recorded program: "
+            f"sha256 {have[:16]}… != recorded {want[:16]}…")
+
+
+def _read_or_regenerate(spec: dict) -> tuple[str, str]:
+    path, gen = spec.get("path"), spec.get("gen") or {}
+    problem = ("the spec locates no program: no source, corpus entry, "
+               "path or gen tuple")
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8",
+                      errors="replace") as handle:
+                text = handle.read()
+        except OSError as error:
+            problem = f"cannot read {path}: {error.strerror or error}"
+        else:
+            if gen.get("seed") is None or not _mismatch(text, spec, path):
+                return text, path
+    if gen.get("seed") is None:
+        raise ProgramError(problem)
+    from dataclasses import fields
+    from ..gen.generator import GEN_VERSION, GenConfig, generate
+    version = gen.get("version")
+    if version is not None and version != GEN_VERSION:
+        raise ProgramMismatch(
+            f"program was generated by repro.gen v{version}; this engine "
+            f"has v{GEN_VERSION} — regeneration would not reproduce it")
+    known = {field.name for field in fields(GenConfig)}
+    config = GenConfig(**{key: value for key, value
+                          in (gen.get("config") or {}).items()
+                          if key in known})
+    return generate(gen["seed"], config).source, "the regenerated program"
 
 
 def run_job(job: dict) -> dict:
@@ -149,13 +233,13 @@ def run_job(job: dict) -> dict:
         set_recorder(recorder)
     runner = make_runner(tool, job.get("options"), observer=observer)
     try:
-        source, filename, run_kwargs = _load_source(job)
-    except (OSError, UnicodeError) as error:
-        return {"compile_error": f"cannot read program: {error}",
-                "detector": tool, "detected": False}
+        program = locate_program(job)
+    except ProgramError as error:
+        return {"compile_error": str(error), "detector": tool,
+                "detected": False}
     try:
-        result = runner.run(source, max_steps=job.get("max_steps"),
-                            filename=filename, **run_kwargs)
+        result = runner.run(**program._asdict(),
+                            max_steps=job.get("max_steps"))
     except (CompileError, LinkError) as error:
         # The *program* is outside the supported language subset; that is
         # an input problem, not a tool failure — no retry, no ladder.
@@ -167,7 +251,8 @@ def run_job(job: dict) -> dict:
     data = serialize_result(
         result, metrics=observer.snapshot() if observer else None)
     if tool == "safe-sulong" and runner.config.prescreen:
-        data["static_findings"] = _prescreen(source, filename, runner.cache)
+        data["static_findings"] = _prescreen(program.source,
+                                             program.filename, runner.cache)
     if recorder is not None:
         data["spans"] = recorder.snapshot()
         data["spans_dropped"] = recorder.spans_dropped

@@ -7,7 +7,7 @@ from .. import source
 from . import instructions as inst
 from . import types as ty
 from .module import Block, Function
-from .values import (ConstFloat, ConstInt, ConstNull, Value, VirtualRegister)
+from .values import ConstInt, ConstNull, Value, VirtualRegister
 
 
 class IRBuilder:
@@ -148,12 +148,6 @@ class IRBuilder:
         self.emit(inst.Unreachable(loc=self.loc))
 
     # -- constants ---------------------------------------------------------
-
-    def const_int(self, type: ty.IntType, value: int) -> ConstInt:
-        return ConstInt(type, value)
-
-    def const_float(self, type: ty.FloatType, value: float) -> ConstFloat:
-        return ConstFloat(type, value)
 
     def null(self, pointer_type: ty.PointerType) -> ConstNull:
         return ConstNull(pointer_type)

@@ -12,12 +12,6 @@ from .module import Function, Module
 from .values import Value
 
 
-def format_value(value: Value | None) -> str:
-    if value is None:
-        return "void"
-    return value.short()
-
-
 def format_typed(value: Value) -> str:
     return f"{value.type} {value.short()}"
 

@@ -322,11 +322,3 @@ def is_int(t: IRType) -> bool:
 
 def is_float(t: IRType) -> bool:
     return isinstance(t, FloatType)
-
-
-def is_pointer(t: IRType) -> bool:
-    return isinstance(t, PointerType)
-
-
-def is_aggregate(t: IRType) -> bool:
-    return isinstance(t, (ArrayType, StructType))

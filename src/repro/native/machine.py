@@ -300,6 +300,7 @@ class NativeMachine:
 
     def interpret(self, prepared: PreparedFunction, args: list):
         frame = Frame(prepared.nregs, prepared.name)
+        frame.machine = self
         saved_sp = self.sp
         saved_frame = self.current_frame
         # Variadic tail: write 8-byte slots into the caller-visible
@@ -435,6 +436,10 @@ class NativeMachine:
 # ---------------------------------------------------------------------------
 
 class _NativeNodeBuilder(_NodeBuilder):
+    """The machine holds its prepared functions, and they hold these
+    nodes, so a node that captured the machine would make every run
+    cyclic garbage: nodes read it from their frame instead."""
+
     def __init__(self, machine: NativeMachine, index_of, block_index):
         super().__init__(machine, index_of, block_index)
         self.machine = machine
@@ -452,10 +457,9 @@ class _NativeNodeBuilder(_NodeBuilder):
         size = max(instruction.allocated_type.size, 1)
         # Natural alignment: locals pack tightly, as real frames do.
         align = max(instruction.allocated_type.align, 1)
-        machine = self.machine
 
         def node(frame):
-            frame.regs[dst] = machine.stack_alloc(size, align)
+            frame.regs[dst] = frame.machine.stack_alloc(size, align)
         return node
 
     def _node_Load(self, instruction: inst.Load):
@@ -463,19 +467,18 @@ class _NativeNodeBuilder(_NodeBuilder):
         pointer = self.getter(instruction.pointer)
         value_type = instruction.result.type
         loc = instruction.loc
-        machine = self.machine
         size = value_type.size
         if isinstance(value_type, irt.FloatType):
             def node(frame):
-                frame.regs[dst] = machine.mem_read_float(pointer(frame),
-                                                         size, loc)
+                frame.regs[dst] = frame.machine.mem_read_float(
+                    pointer(frame), size, loc)
             return node
         mask = value_type.mask if isinstance(value_type, irt.IntType) \
             else (1 << 64) - 1
 
         def node(frame):
-            frame.regs[dst] = machine.mem_read_int(pointer(frame), size,
-                                                   loc) & mask
+            frame.regs[dst] = frame.machine.mem_read_int(
+                pointer(frame), size, loc) & mask
         return node
 
     def _node_Store(self, instruction: inst.Store):
@@ -483,17 +486,16 @@ class _NativeNodeBuilder(_NodeBuilder):
         value = self.getter(instruction.value)
         value_type = instruction.value.type
         loc = instruction.loc
-        machine = self.machine
         size = value_type.size
         if isinstance(value_type, irt.FloatType):
             def node(frame):
-                machine.mem_write_float(pointer(frame), size, value(frame),
-                                        loc)
+                frame.machine.mem_write_float(pointer(frame), size,
+                                              value(frame), loc)
             return node
 
         def node(frame):
-            machine.mem_write_int(pointer(frame), size, value(frame) or 0,
-                                  loc)
+            frame.machine.mem_write_int(pointer(frame), size,
+                                        value(frame) or 0, loc)
         return node
 
     def _node_Gep(self, instruction: inst.Gep):
@@ -540,7 +542,6 @@ class _NativeNodeBuilder(_NodeBuilder):
         arg_types = [arg.type for arg in instruction.args]
         signature = instruction.signature
         n_fixed = len(signature.params)
-        machine = self.machine
         loc = instruction.loc
         callee = instruction.callee
         site_id = id(instruction)
@@ -557,11 +558,11 @@ class _NativeNodeBuilder(_NodeBuilder):
         # Compile-time instrumentation is cheap at run time: the shadow
         # check call is inlined into the executing code (as ASan's two
         # shadow instructions are), rather than dispatched like a call.
+        tool = self.machine.tool
         if isinstance(callee, ir.Function) \
                 and callee.name == "__asan_check" \
-                and hasattr(machine.tool, "shadow") \
+                and hasattr(tool, "shadow") \
                 and isinstance(instruction.args[1], ir.ConstInt):
-            tool = machine.tool
             shadow = tool.shadow.shadow
             address_getter = arg_getters[0]
             size = instruction.args[1].value
@@ -571,12 +572,13 @@ class _NativeNodeBuilder(_NodeBuilder):
             def node(frame):
                 address = address_getter(frame)
                 if shadow.count(0, address, address + size) != size:
-                    tool.check(machine, address, size, is_write, loc)
+                    tool.check(frame.machine, address, size, is_write, loc)
             return node
 
         if isinstance(callee, ir.Function):
             if callee.is_definition:
                 def node(frame, _target=callee):
+                    machine = frame.machine
                     try:
                         result = machine.call_function(_target, pack(frame))
                     except ProgramBug as bug:
@@ -592,6 +594,7 @@ class _NativeNodeBuilder(_NodeBuilder):
             builtin_name = callee.name
 
             def node(frame):
+                machine = frame.machine
                 handler = machine.intrinsic(builtin_name)
                 machine.current_site = site_id
                 machine.current_loc = loc
@@ -607,6 +610,7 @@ class _NativeNodeBuilder(_NodeBuilder):
         target_getter = self.getter(callee)
 
         def node(frame):
+            machine = frame.machine
             address = target_getter(frame)
             try:
                 result = machine.call_address(address, pack(frame))

@@ -20,9 +20,8 @@ from .lines import collapsed_stacks, render_lines, write_flamegraph
 from .spans import SpanRecorder, set_recorder, span
 from .slices import (BlockRecorder, build_packet, canonical_packet_bytes,
                      render_text, validate_packet)
-from .replay import (ReplayError, ReplayMismatch, build_manifest,
-                     explain, explain_record, manifest_for_task, replay,
-                     resolve_source)
+from .replay import (build_manifest, explain, explain_record,
+                     manifest_for_task, replay)
 
 __all__ = ["Observer", "aggregate_metrics", "check_breakdown",
            "service_breakdown",
@@ -34,6 +33,5 @@ __all__ = ["Observer", "aggregate_metrics", "check_breakdown",
            "SpanRecorder", "set_recorder", "span",
            "BlockRecorder", "build_packet", "canonical_packet_bytes",
            "render_text", "validate_packet",
-           "ReplayError", "ReplayMismatch", "build_manifest",
-           "explain", "explain_record", "manifest_for_task", "replay",
-           "resolve_source"]
+           "build_manifest", "explain", "explain_record",
+           "manifest_for_task", "replay"]

@@ -19,16 +19,14 @@ spells out the guarantee.
 :func:`replay` re-executes a manifest in-process, pinned to the
 reference interpreter tier (jit/speculation off, checks on) with a
 :class:`~repro.obs.slices.BlockRecorder` attached; :func:`explain`
-wraps that into the structured failure-slice packet.  Replay verifies
-the source digest first and raises :class:`ReplayMismatch` rather than
-silently explaining a different program.
+wraps that into the structured failure-slice packet.  A manifest is a
+job spec, so the worker's :func:`~repro.harness.worker.locate_program`
+finds its program and inputs; it verifies the source digest and raises
+:class:`~repro.harness.worker.ProgramMismatch` rather than silently
+explaining a different program.
 """
 
 from __future__ import annotations
-
-import base64
-import hashlib
-import json
 
 from .slices import (DEFAULT_BUDGET, DEFAULT_WINDOW, build_packet,
                      canonical_packet_bytes, divergence_slice,
@@ -40,57 +38,36 @@ MANIFEST_VERSION = 1
 FALLBACK_MAX_STEPS = 5_000_000
 
 
-class ReplayError(Exception):
-    """The manifest cannot be replayed (missing program, bad fields)."""
+# The job-spec keys a manifest carries over when they are set.
+_CARRIED_KEYS = ("path", "corpus_entry", "argv", "stdin_b64", "vfs_b64")
 
 
-class ReplayMismatch(ReplayError):
-    """The resolved program is not the recorded one (digest mismatch)."""
-
-
-def source_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def build_manifest(*, tool: str = "safe-sulong",
-                   options: dict | None = None,
-                   source: str | None = None,
-                   path: str | None = None,
-                   filename: str | None = None,
-                   corpus_entry: str | None = None,
-                   argv: list | None = None,
-                   stdin_b64: str | None = None,
-                   vfs_b64: dict | None = None,
-                   max_steps: int | None = None,
-                   gen: dict | None = None,
-                   fault=None) -> dict:
-    """One replay manifest.  ``options`` is projected to
+def build_manifest(spec: dict, *, tool: str = "safe-sulong",
+                   options: dict | None = None, fault=None) -> dict:
+    """The replay manifest of one job spec: its program's name and
+    digest, the spec keys that locate the program and give its inputs,
+    and the tool.  ``options`` is projected to
     :meth:`EngineConfig.semantic` (baseline tools carry their whole
-    configuration in the tool name); ``gen`` is a repro.gen program
-    manifest and rides along whole."""
+    configuration in the tool name); a ``gen`` program manifest rides
+    along whole.  Raises :class:`~repro.harness.worker.ProgramError`
+    when the spec locates no program."""
     from ..core.config import EngineConfig
+    from ..harness.worker import locate_program, source_digest
     from ..tools import engine_version
+    program = locate_program(spec)
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "engine": engine_version(),
         "tool": tool,
         "options": EngineConfig.from_json(options).semantic()
         if tool == "safe-sulong" else {},
-        "filename": filename,
-        "source_sha256": source_digest(source)
-        if source is not None else None,
-        "max_steps": max_steps,
+        "filename": program.filename,
+        "source_sha256": source_digest(program.source),
+        "max_steps": spec.get("max_steps"),
     }
-    if path:
-        manifest["path"] = path
-    if corpus_entry:
-        manifest["corpus_entry"] = corpus_entry
-    if argv:
-        manifest["argv"] = list(argv)
-    if stdin_b64:
-        manifest["stdin_b64"] = stdin_b64
-    if vfs_b64:
-        manifest["vfs_b64"] = dict(vfs_b64)
+    manifest.update((key, spec[key]) for key in _CARRIED_KEYS
+                    if spec.get(key))
+    gen = spec.get("gen")
     if gen:
         manifest["gen"] = {
             "version": gen.get("version"),
@@ -105,105 +82,14 @@ def build_manifest(*, tool: str = "safe-sulong",
 
 def manifest_for_task(payload: dict, tool: str, options: dict | None,
                       fault=None) -> dict | None:
-    """Build the manifest for one harness task payload (the pool calls
-    this when recording a result).  Advisory: any failure — unreadable
-    program file, unknown corpus entry — degrades to no manifest, never
-    to a failed record."""
+    """The manifest the pool records with each result.  Advisory: a
+    payload that locates no program gets no manifest, never a failed
+    record."""
     try:
-        source = None
-        path = None
-        corpus = payload.get("corpus_entry")
-        filename = payload.get("filename")
-        if corpus:
-            from ..corpus.manifest import ENTRIES
-            for entry in ENTRIES:
-                if entry.name == corpus:
-                    source = entry.source()
-                    filename = entry.name + ".c"
-                    break
-        elif payload.get("source") is not None:
-            source = payload["source"]
-            filename = filename or "program.c"
-        elif payload.get("path"):
-            path = payload["path"]
-            with open(path, "r", encoding="utf-8",
-                      errors="replace") as handle:
-                source = handle.read()
-            filename = filename or path
-        return build_manifest(
-            tool=tool, options=options, source=source, path=path,
-            filename=filename, corpus_entry=corpus,
-            argv=payload.get("argv"),
-            stdin_b64=payload.get("stdin_b64"),
-            vfs_b64=payload.get("vfs_b64"),
-            max_steps=payload.get("max_steps"),
-            gen=payload.get("gen"), fault=fault)
+        return build_manifest(payload, tool=tool, options=options,
+                              fault=fault)
     except Exception:
         return None
-
-
-def _check_digest(source: str, manifest: dict, origin: str) -> None:
-    want = manifest.get("source_sha256")
-    if want is None:
-        return
-    have = source_digest(source)
-    if have != want:
-        raise ReplayMismatch(
-            f"{origin} does not match the recorded program: "
-            f"sha256 {have[:16]}… != recorded {want[:16]}…")
-
-
-def resolve_source(manifest: dict,
-                   source: str | None = None) -> tuple[str, str]:
-    """Locate the exact recorded program: explicit source, the gen
-    tuple, a corpus entry, or the recorded file path — digest-verified
-    in every case."""
-    filename = manifest.get("filename") or "program.c"
-    if source is not None:
-        _check_digest(source, manifest, "the supplied source")
-        return source, filename
-    gen = manifest.get("gen")
-    if gen is not None and gen.get("seed") is not None:
-        from dataclasses import fields
-        from ..gen.generator import GEN_VERSION, GenConfig, generate
-        version = gen.get("version")
-        if version is not None and version != GEN_VERSION:
-            raise ReplayMismatch(
-                f"program was generated by repro.gen v{version}; this "
-                f"engine has v{GEN_VERSION} — regeneration would not "
-                "reproduce it")
-        known = {f.name for f in fields(GenConfig)}
-        config = GenConfig(**{key: value
-                              for key, value in
-                              (gen.get("config") or {}).items()
-                              if key in known})
-        program = generate(gen["seed"], config)
-        _check_digest(program.source, manifest, "the regenerated program")
-        return program.source, manifest.get("filename") or program.filename
-    corpus = manifest.get("corpus_entry")
-    if corpus:
-        from ..corpus.manifest import ENTRIES
-        for entry in ENTRIES:
-            if entry.name == corpus:
-                text = entry.source()
-                _check_digest(text, manifest, f"corpus entry {corpus!r}")
-                return text, entry.name + ".c"
-        raise ReplayError(f"unknown corpus entry {corpus!r}")
-    path = manifest.get("path")
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8",
-                      errors="replace") as handle:
-                text = handle.read()
-        except OSError as error:
-            raise ReplayError(
-                f"recorded program path is unreadable ({error}); pass "
-                "the source explicitly") from error
-        _check_digest(text, manifest, path)
-        return text, filename
-    raise ReplayError(
-        "manifest does not locate the program (no gen tuple, corpus "
-        "entry, or path); pass the source explicitly")
 
 
 def replay(manifest: dict, source: str | None = None, *,
@@ -217,7 +103,9 @@ def replay(manifest: dict, source: str | None = None, *,
     identical detection — while the manifest's resource quotas stay in
     force.  Returns ``(result, recorder, source, filename)``.
     """
-    source, filename = resolve_source(manifest, source)
+    from ..harness.worker import locate_program
+    program = locate_program(manifest if source is None
+                             else dict(manifest, source=source))
     tool = manifest.get("tool") or "safe-sulong"
     observer = None
     options = manifest.get("options")
@@ -233,14 +121,9 @@ def replay(manifest: dict, source: str | None = None, *,
     from ..tools import make_runner
     runner = make_runner(tool, options, observer=observer)
     steps = max_steps or manifest.get("max_steps") or FALLBACK_MAX_STEPS
-    stdin = base64.b64decode(manifest.get("stdin_b64") or "")
-    vfs = {name: base64.b64decode(data)
-           for name, data in (manifest.get("vfs_b64") or {}).items()}
-    result = runner.run(source, argv=manifest.get("argv"),
-                        stdin=stdin, vfs=vfs or None,
-                        max_steps=steps, filename=filename)
+    result = runner.run(**program._asdict(), max_steps=steps)
     recorder = observer.recorder if observer is not None else None
-    return result, recorder, source, filename
+    return result, recorder, program.source, program.filename
 
 
 def explain(manifest: dict, source: str | None = None, *,
@@ -276,9 +159,10 @@ def explain_record(record: dict, source: str | None = None,
     """Explain one harness/service bug record (a report JSONL line).
     The packet gains a ``record`` section comparing the replay's triage
     signatures against the recorded ones — the determinism check."""
+    from ..harness.worker import ProgramError
     manifest = record.get("manifest")
     if not manifest:
-        raise ReplayError(
+        raise ProgramError(
             "record carries no replay manifest (recorded by an older "
             "engine?); re-run the hunt or pass the program directly")
     packet = explain(manifest, source, **kwargs)
@@ -332,16 +216,12 @@ def selftest(verbose: bool = True) -> tuple[bool, list[str]]:
         say("planting a use-after-free and hunting it...")
         from ..harness.campaign import run_campaign
         from ..harness.quotas import Quotas
+        from ..harness.report import read_report
         run_campaign([("uaf", program)], tool="safe-sulong", options={},
                      quotas=Quotas(max_steps=200_000), jobs=1,
                      timeout=60.0, report_path=report_path, fresh=True,
                      progress=None, collect_metrics=False)
-        records = []
-        with open(report_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                data = json.loads(line)
-                if data.get("type") == "result":
-                    records.append(data)
+        records, _summary = read_report(report_path)
         bug_records = [r for r in records if r.get("triage") == "bug"]
         if not bug_records:
             problems.append("hunt did not report the planted bug")

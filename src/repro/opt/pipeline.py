@@ -16,13 +16,6 @@ from ..ir import types as irt
 from . import (backendfold, constfold, dce, deadstore, gvn, licm, loadwiden,
                loopdelete, mem2reg, nullcheck, simplifycfg)
 
-# Participates in safe-tier cache keys indirectly: the optimized clone's
-# printed IR is what gets hashed, but bump this to force re-optimization
-# when pass *behavior* changes without changing pass output on trivial
-# functions.
-SAFE_O2_VERSION = 1
-
-
 def run_o3(module: ir.Module, max_iterations: int = 8,
            load_widening: bool = False) -> None:
     """The -O2/-O3-style pipeline, iterated to fixpoint.
@@ -159,30 +152,29 @@ def optimized_clone(function: ir.Function) -> ir.Function:
     (``ir.Module.link``, e.g. libc's ``strdup`` at a program's own
     ``malloc``).  If any pass fails, the
     original is returned — slower, never wrong — and the failure is
-    recorded on the function for tests to inspect."""
+    recorded on the function for tests to inspect.  Each build, not a
+    memo hit, is one ``opt.safe_o2`` span."""
     cached = getattr(function, "_safe_o2_clone", None)
     if cached is not None:
         return cached
     if not function.is_definition:
         return function
-    clone = ir.clone_function(function)
-    try:
-        run_safe_o2_function(clone)
-    except Exception as error:  # degrade, never break the run
+    from ..obs.spans import span
+    with span("opt.safe_o2", of=function.name):
+        clone = ir.clone_function(function)
         try:
-            function._safe_o2_error = repr(error)
-        except AttributeError:
-            pass
-        clone = function
+            run_safe_o2_function(clone)
+        except Exception as error:  # degrade, never break the run
+            try:
+                function._safe_o2_error = repr(error)
+            except AttributeError:
+                pass
+            clone = function
     try:
         function._safe_o2_clone = clone
     except AttributeError:
         pass
     return clone
-
-
-def run_o0_cleanup(module: ir.Module) -> None:
-    """What even -O0 does: nothing at the IR level."""
 
 
 def run_backend_folds(module: ir.Module) -> None:

@@ -19,6 +19,7 @@ from collections import deque
 
 from ...core.errors import (DoubleFreeError, InvalidFreeError,
                             OutOfBoundsError, UseAfterFreeError)
+from ...core.interpreter import _located
 from ...native.machine import Tool
 from . import shadow as sh
 
@@ -64,7 +65,6 @@ class AsanTool(Tool):
     # -- startup: poison global redzones ------------------------------------
 
     def on_startup(self, machine) -> None:
-        self.machine = machine
         names = self.instrumented_globals
         for name, address in machine.global_addresses.items():
             gvar = machine.module.globals.get(name)
@@ -104,12 +104,10 @@ class AsanTool(Tool):
             return
         error_class, memory_kind = _ERROR_CLASSES[code]
         access = "write" if is_write else "read"
-        error = error_class(
+        raise _located(error_class(
             f"AddressSanitizer: {sh.poison_kind_name(code)} on {access} of "
             f"{size} bytes at 0x{address:x}",
-            access=access, memory_kind=memory_kind, size=size)
-        error.attach_location(loc)
-        raise error
+            access=access, memory_kind=memory_kind, size=size), loc)
 
     def check_range(self, machine, address: int, size: int, is_write: bool,
                     loc=None) -> None:
@@ -138,15 +136,13 @@ class AsanTool(Tool):
         if size is None:
             if any(start <= address < start + size_
                    for start, size_ in self._quarantine_blocks()):
-                error = DoubleFreeError(
+                raise _located(DoubleFreeError(
                     f"AddressSanitizer: attempting double-free on "
-                    f"0x{address:x}", access="free", memory_kind="heap")
-            else:
-                error = InvalidFreeError(
-                    f"AddressSanitizer: attempting free on address which "
-                    f"was not malloc()-ed: 0x{address:x}", access="free")
-            error.attach_location(loc)
-            raise error
+                    f"0x{address:x}", access="free", memory_kind="heap"),
+                    loc)
+            raise _located(InvalidFreeError(
+                f"AddressSanitizer: attempting free on address which "
+                f"was not malloc()-ed: 0x{address:x}", access="free"), loc)
         del self.allocated[address]
         self.shadow.poison(address, size, sh.HEAP_FREED)
         self.quarantine.append((address, size))
@@ -178,17 +174,6 @@ class AsanTool(Tool):
             self.shadow.unpoison(low, high - low)
 
     # -- interceptors --------------------------------------------------------------
-
-    def on_printf_string(self, machine, pointer: int, loc=None) -> None:
-        """The printf interceptor checks pointer arguments only."""
-        if pointer == 0:
-            return
-        cursor = pointer
-        for _ in range(1 << 16):
-            self.check(machine, cursor, 1, False, loc)
-            if machine.memory.load_int(cursor, 1) == 0:
-                return
-            cursor += 1
 
     def wrap_builtins(self, builtins: dict) -> dict:
         wrapped = dict(builtins)

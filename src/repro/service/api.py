@@ -3,9 +3,11 @@
 Five endpoints over one :class:`~.supervisor.Supervisor`:
 
 ``POST /submit``
-    Body: a JSON task (``source`` or ``path``/``corpus_entry``, plus
-    optional ``filename``, ``argv``, ``stdin_b64``, ``max_steps``,
-    ``campaign``).  Admission control first: a shedding service answers
+    Body: a JSON job spec (one of ``source``, ``corpus_entry`` or
+    ``path``, plus optional ``filename``, ``argv``, ``stdin_b64``,
+    ``vfs_b64``, ``max_steps``; see
+    :func:`~repro.harness.worker.locate_program`) and an optional
+    ``campaign``.  Admission control first: a shedding service answers
     ``429`` with a ``Retry-After`` header and writes nothing.  Admitted
     submissions are durably enqueued before the ``202`` response — an
     acknowledged submission survives ``kill -9``.  Ids are
@@ -47,13 +49,14 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..harness.worker import PROGRAM_KEYS, SPEC_KEYS, ProgramError
 from .bugdb import BugDatabase
 from .queue import DONE, JobQueue, task_id_for
-from .supervisor import _TASK_KEYS, Supervisor
+from .supervisor import Supervisor
 
-# Submission schema: the task keys a client may set (everything else —
-# tool, options, faults — is the operator's, via the serve flags).
-SUBMIT_KEYS = _TASK_KEYS + ("campaign",)
+# Submission schema: the job-spec keys a client may set (everything
+# else — tool, options, faults — is the operator's, via the serve flags).
+SUBMIT_KEYS = SPEC_KEYS + ("campaign",)
 MAX_BODY_BYTES = 4 * 1024 * 1024
 MAX_WAIT_SECONDS = 60.0
 POLL_INTERVAL = 0.25
@@ -130,9 +133,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(400, "task must be a JSON object")
             return
         task = canonical_task(body)
-        if not any(key in task for key in ("source", "path",
-                                           "corpus_entry")):
-            self._error(400, "task needs source, path, or corpus_entry")
+        if not any(key in task for key in PROGRAM_KEYS):
+            self._error(400, "task needs one of "
+                             + ", ".join(PROGRAM_KEYS))
             return
         task_id = task_id_for(task)
         # Known ids (duplicates, possibly already done) bypass
@@ -200,10 +203,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         with queue._lock:
             task = dict(queue.tasks.get(task_id) or {})
-        from ..obs.replay import ReplayError, explain_record
+        from ..obs.replay import explain_record
         try:
             packet = explain_record(record, task.get("source"))
-        except ReplayError as error:
+        except ProgramError as error:
             self._error(409, f"replay failed: {error}")
             return
         except Exception as error:  # noqa: BLE001 — HTTP boundary

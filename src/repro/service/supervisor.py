@@ -41,6 +41,7 @@ import time
 from ..harness import faults
 from ..harness.pool import WorkerPool, WorkTask, build_ladder
 from ..harness.quotas import DEFAULT_TIMEOUT, Quotas
+from ..harness.worker import SPEC_KEYS
 from ..obs import Observer
 from .bugdb import BugDatabase
 from .queue import JobQueue
@@ -48,11 +49,6 @@ from .queue import JobQueue
 DEFAULT_MAX_DEPTH = 256
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN = 10.0
-
-# Task-payload keys a submission may set; everything else (tool,
-# options, fault) is the service's to decide.
-_TASK_KEYS = ("source", "path", "filename", "corpus_entry", "argv",
-              "stdin_b64", "vfs_b64", "max_steps")
 
 
 class Supervisor:
@@ -209,7 +205,9 @@ class Supervisor:
                 continue
             if fault == "db-torn-write":
                 self._torn_tasks.add(task_id)
-            payload = {key: task[key] for key in _TASK_KEYS
+            # A submission sets only job-spec keys; the tool, options
+            # and faults are the service's to decide.
+            payload = {key: task[key] for key in SPEC_KEYS
                        if key in task}
             payload.setdefault("max_steps", self.quotas.max_steps)
             tasks.append(WorkTask(task_id, payload,

@@ -1,10 +1,11 @@
 """Object lifetimes: a finished run frees itself.
 
 Once a caller drops a run's ``ExecutionResult``, reference counting
-alone must free its ``Runtime``; the cycle collector is left with the
-program's IR.  Each lifetime case runs with ``gc`` disabled, so a
-runtime kept alive by a reference cycle shows up as a live weak
-reference (DESIGN.md, "Object lifetimes").
+alone must free its ``Runtime`` (for the native baselines, its
+``NativeMachine``); the cycle collector is left with the program's IR.
+Each lifetime case runs with ``gc`` disabled, so a runtime kept alive
+by a reference cycle shows up as a live weak reference (DESIGN.md,
+"Object lifetimes").
 """
 
 import gc
@@ -15,6 +16,7 @@ import pytest
 from repro.core.engine import SafeSulong
 from repro.corpus.manifest import ENTRIES
 from repro.obs.observer import Observer
+from repro.tools import AsanRunner, MemcheckRunner, NativeRunner
 
 from .test_speculate import FIELD_CALL, OOB_CALL
 
@@ -76,13 +78,13 @@ GREEDY = ("#include <stdlib.h>\n"
           "  char *p = malloc(1024); p[0] = 1; } return 0; }\n")
 
 
-def _runtime_freed(engine, source, check) -> bool:
-    """Run ``source`` with ``gc`` disabled, ``check`` the result, drop
-    it, and tell whether its runtime is gone."""
+def _runtime_freed(run, source, check) -> bool:
+    """``run`` ``source`` with ``gc`` disabled, ``check`` the result,
+    drop it, and tell whether its runtime is gone."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        result = engine.run_source(source)
+        result = run(source)
         check(result)
         runtime = weakref.ref(result.runtime)
         del result
@@ -101,7 +103,8 @@ def test_dropped_result_frees_its_runtime(libc, program, tier):
         assert result.bug_kinds() == kinds
         assert result.status == status
 
-    assert _runtime_freed(SafeSulong(**TIERS[tier]), source, check)
+    assert _runtime_freed(SafeSulong(**TIERS[tier]).run_source, source,
+                          check)
 
 
 # name: (engine factory, source, check of the result)
@@ -128,7 +131,7 @@ def test_configurations_free_their_runtime(libc, name):
     def check(result):
         assert expected(result), result
 
-    assert _runtime_freed(engine(), source, check)
+    assert _runtime_freed(engine().run_source, source, check)
 
 
 @pytest.mark.parametrize("source", [OOB_CALL, FIELD_CALL],
@@ -138,7 +141,36 @@ def test_deopt_frees_its_runtime(libc, source):
         assert result.runtime.guard_trips == result.runtime.deopts == 1
 
     engine = SafeSulong(speculate=True, jit_threshold=2)
-    assert _runtime_freed(engine, source, check)
+    assert _runtime_freed(engine.run_source, source, check)
+
+
+NATIVE_RUNNERS = {"clang-O0": NativeRunner, "asan-O0": AsanRunner,
+                  "memcheck-O0": MemcheckRunner}
+
+# name: (source, bug kinds asan-O0 and memcheck-O0 report; clang-O0
+# reports none).  The two bugs take asan's check and free raise sites.
+NATIVE_PROGRAMS = {
+    "direct-calls": (PROGRAMS["direct-calls"][0], []),
+    "function-pointers": (PROGRAMS["function-pointers"][0], []),
+    "exit": (PROGRAMS["exit"][0], []),
+    "use-after-free": (PROGRAMS["use-after-free"][0], ["use-after-free"]),
+    "double-free": (
+        "#include <stdlib.h>\n"
+        "int main(void) { int *p = malloc(16); free(p); free(p);\n"
+        "  return 0; }\n", ["double-free"]),
+}
+
+
+@pytest.mark.parametrize("program", sorted(NATIVE_PROGRAMS))
+@pytest.mark.parametrize("tool", sorted(NATIVE_RUNNERS))
+def test_native_run_frees_its_machine(tool, program):
+    source, kinds = NATIVE_PROGRAMS[program]
+
+    def check(result):
+        assert result.runtime is not None
+        assert result.bug_kinds() == ([] if tool == "clang-O0" else kinds)
+
+    assert _runtime_freed(NATIVE_RUNNERS[tool](0).run, source, check)
 
 
 def test_corpus_verdicts_leave_little_cyclic_garbage(libc):

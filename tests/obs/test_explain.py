@@ -20,10 +20,10 @@ import pytest
 from repro.__main__ import build_parser
 from repro.core.config import EngineConfig
 from repro.harness.triage import signatures
-from repro.harness.worker import run_job
-from repro.obs.replay import (ReplayError, ReplayMismatch,
-                              build_manifest, explain, explain_record,
-                              manifest_for_task, replay, resolve_source)
+from repro.harness.worker import (ProgramError, ProgramMismatch,
+                                  locate_program, run_job)
+from repro.obs.replay import (build_manifest, explain, explain_record,
+                              manifest_for_task, replay)
 from repro.obs.slices import (DEFAULT_BUDGET, bisect_output_divergence,
                               canonical_packet_bytes, divergence_slice,
                               validate_packet)
@@ -55,6 +55,9 @@ int main(void) {
 }
 """
 
+GOLDEN_SPEC = {"source": GOLDEN_C, "filename": "golden.c",
+               "max_steps": 100_000}
+
 # Manifests recorded under each tier; elide_checks is the retired
 # spelling of speculate that older manifests carry.
 TIER_OPTIONS = [
@@ -79,13 +82,12 @@ def _cli_options(*argv: str) -> dict:
 ])
 def test_manifest_options_match_older_records(argv, expected):
     # Literals recorded before the engine options became one config.
-    manifest = build_manifest(options=_cli_options(*argv), source="")
+    manifest = build_manifest({"source": ""}, options=_cli_options(*argv))
     assert manifest["options"] == expected
 
 
 def _replay_section(options: dict) -> dict:
-    manifest = build_manifest(source=GOLDEN_C, filename="golden.c",
-                              options=options, max_steps=100_000)
+    manifest = build_manifest(GOLDEN_SPEC, options=options)
     packet = explain(manifest, GOLDEN_C, divergence=False)
     assert validate_packet(packet) == []
     return packet["replay"]
@@ -134,8 +136,7 @@ def test_packet_carries_fault_local_state():
 
 
 def test_budget_trims_farthest_from_fault_first():
-    manifest = build_manifest(source=GOLDEN_C, filename="golden.c",
-                              max_steps=100_000)
+    manifest = build_manifest(GOLDEN_SPEC)
     packet = explain(manifest, GOLDEN_C, divergence=False, budget=2048)
     assert validate_packet(packet) == []
     assert packet["budget"]["size"] <= 2048
@@ -147,13 +148,12 @@ def test_budget_trims_farthest_from_fault_first():
 
 
 def test_digest_mismatch_refuses_to_explain():
-    manifest = build_manifest(source=GOLDEN_C, filename="golden.c",
-                              max_steps=100_000)
-    with pytest.raises(ReplayMismatch):
-        resolve_source(manifest, GOLDEN_C.replace("6", "7"))
-    with pytest.raises(ReplayError):
-        # No gen tuple, corpus entry, or path: unlocatable.
-        resolve_source({"filename": "golden.c"})
+    manifest = build_manifest(GOLDEN_SPEC)
+    with pytest.raises(ProgramMismatch):
+        locate_program(dict(manifest, source=GOLDEN_C.replace("6", "7")))
+    with pytest.raises(ProgramError):
+        # No source, corpus entry, path or gen tuple: unlocatable.
+        locate_program({"filename": "golden.c"})
 
 
 def test_bisect_output_divergence():
@@ -185,39 +185,56 @@ def test_divergence_slice_agrees_on_generated_programs(seed, plant):
 def test_gen_manifest_replays_without_source():
     from repro.gen import GenConfig, generate
     program = generate(11, GenConfig(plant="temporal"))
-    manifest = build_manifest(source=program.source,
-                              filename=program.filename,
-                              gen=program.manifest, max_steps=2_000_000)
+    manifest = build_manifest({"source": program.source,
+                               "filename": program.filename,
+                               "gen": program.manifest,
+                               "max_steps": 2_000_000})
     # No source given: replay regenerates from the (version, seed,
     # config) tuple and digest-verifies.
     result, recorder, source, _filename = replay(manifest)
     assert source == program.source
     assert recorder is not None and recorder.steps > 0
     wrong = dict(manifest, gen=dict(manifest["gen"], version=999))
-    with pytest.raises(ReplayMismatch):
-        resolve_source(wrong)
+    with pytest.raises(ProgramMismatch):
+        locate_program(wrong)
 
 
 # -- property: hunt records replay to the identical bug ---------------------
 
 
-def _hunt_record(name: str, source: str) -> dict:
+def _hunt_record(payload: dict) -> dict:
     """One in-process hunt result shaped like a report JSONL line."""
     tool, options = "safe-sulong", {}
-    payload = {"id": name, "source": source, "filename": name + ".c",
-               "max_steps": 200_000, "tool": tool, "options": options}
+    payload = dict(payload, id="job", max_steps=200_000, tool=tool,
+                   options=options)
     data = run_job(payload)
-    return {"id": name, "type": "result", "triage": "bug",
+    return {"id": "job", "type": "result", "triage": "bug",
             "signatures": signatures(data), "result": data,
             "manifest": manifest_for_task(payload, tool, options)}
 
 
+def _hunt_payload(name: str, source: str | None, directory) -> dict:
+    """The job spec of one hunted program: the corpus entry ``name``
+    when there is no source, a program file named by its basename when
+    ``name`` ends in ``.c``, else inline source."""
+    if source is None:
+        return {"corpus_entry": name}
+    if name.endswith(".c"):
+        path = directory / name
+        path.write_text(source)
+        return {"path": str(path), "filename": name}
+    return {"source": source, "filename": name + ".c"}
+
+
+OOB_SOURCE = ("#include <stdlib.h>\n"
+              "int main(void) {\n"
+              "    int *p = malloc(4 * sizeof(int));\n"
+              "    return p[4];\n"
+              "}\n")
+
+
 @pytest.mark.parametrize("name,source", [
-    ("oob_bug", "#include <stdlib.h>\n"
-                "int main(void) {\n"
-                "    int *p = malloc(4 * sizeof(int));\n"
-                "    return p[4];\n"
-                "}\n"),
+    ("oob_bug", OOB_SOURCE),
     ("uaf_bug", "#include <stdlib.h>\n"
                 "int main(void) {\n"
                 "    int *p = malloc(sizeof(int));\n"
@@ -225,13 +242,23 @@ def _hunt_record(name: str, source: str) -> dict:
                 "    free(p);\n"
                 "    return *p;\n"
                 "}\n"),
+    # Corpus entries bring their own inputs; these two need stdin.
+    pytest.param("global_redzone_exceed", None,
+                 id="corpus-global_redzone_exceed"),
+    pytest.param("stack_getchar_fill_write", None,
+                 id="corpus-stack_getchar_fill_write"),
+    pytest.param("oob.c", OOB_SOURCE, id="path-named-by-basename"),
 ])
-def test_replaying_hunt_record_reproduces_signature(name, source):
-    record = _hunt_record(name, source)
+def test_replaying_hunt_record_reproduces_signature(name, source,
+                                                    tmp_path):
+    payload = _hunt_payload(name, source, tmp_path)
+    record = _hunt_record(payload)
     assert record["signatures"], f"{name} did not report a bug"
     # Inline-source tasks have a digest-only manifest (this is how the
-    # service stores them); the caller supplies the source.
-    packet = explain_record(record, source, divergence=False)
+    # service stores them); the caller supplies the source.  Corpus and
+    # path tasks replay from the manifest alone.
+    packet = explain_record(record, payload.get("source"),
+                            divergence=False)
     assert validate_packet(packet) == []
     assert len(canonical_packet_bytes(packet)) <= DEFAULT_BUDGET
     # Identical triage signature...
@@ -250,9 +277,29 @@ def test_replaying_hunt_record_reproduces_signature(name, source):
             if site:
                 assert site in replayed["provenance"]
     # Explaining twice is deterministic.
-    again = explain_record(record, source, divergence=False)
+    again = explain_record(record, payload.get("source"), divergence=False)
     again["budget"] = dict(packet["budget"])
     assert canonical_packet_bytes(again) == canonical_packet_bytes(packet)
+
+
+def test_explain_skips_a_torn_last_report_line(tmp_path, capsys):
+    # A hunt killed mid-append leaves half a line at the end of its
+    # report; explain reads past it the way resume does.
+    from repro.__main__ import main
+    from repro.harness.campaign import run_campaign
+    from repro.harness.quotas import Quotas
+    program = tmp_path / "oob.c"
+    program.write_text(OOB_SOURCE)
+    report = tmp_path / "report.jsonl"
+    run_campaign([("oob", str(program))], quotas=Quotas(max_steps=200_000),
+                 jobs=1, timeout=60.0, report_path=str(report), fresh=True,
+                 progress=None, collect_metrics=False)
+    record_line = report.read_text().splitlines(keepends=True)[0]
+    report.write_text(record_line + record_line[:len(record_line) // 2])
+    assert main(["explain", "--format", "json", str(report)]) == 0
+    packet = json.loads(capsys.readouterr().out)
+    assert packet["record"]["id"] == "oob"
+    assert packet["record"]["matches"]
 
 
 @pytest.mark.selftest

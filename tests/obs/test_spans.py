@@ -92,6 +92,36 @@ class TestChromeTraceSchema:
         [link] = [event for event in events if event["name"] == "link"]
         assert bundle["ts"] + bundle["dur"] <= link["ts"]
 
+    # The optimized tier's two set-up layers: one span per build, with
+    # the function as the subject perfbench groups by, none on a memo hit.
+    SUM = ("int sum(int *a, int n) { int s = 0;\n"
+           "  for (int i = 0; i < n; i++) s += a[i];\n"
+           "  return s; }\n")
+
+    def test_safe_o2_clone_spans_each_build(self):
+        from repro.cfront import compile_source
+        from repro.opt import pipeline
+        function = compile_source(self.SUM, filename="t.c").functions["sum"]
+        recorder = SpanRecorder()
+        set_recorder(recorder)
+        clone = pipeline.optimized_clone(function)
+        assert pipeline.optimized_clone(function) is clone
+        assert [(event["name"], event["args"])
+                for event in recorder.snapshot()] == \
+            [("opt.safe_o2", {"of": "sum"})]
+
+    def test_speculation_analysis_spans_each_analysis(self):
+        from repro.cfront import compile_source
+        from repro.core.jit import _speculation_state
+        function = compile_source(self.SUM, filename="t.c").functions["sum"]
+        recorder = SpanRecorder()
+        set_recorder(recorder)
+        state = _speculation_state(function)
+        assert _speculation_state(function) is state
+        assert [(event["name"], event["args"])
+                for event in recorder.snapshot()] == \
+            [("opt.speculate", {"of": "sum"})]
+
     def test_streamed_file_is_valid_json_after_close(self, tmp_path):
         path = str(tmp_path / "trace.json")
         recorder = SpanRecorder(path=path)
