@@ -26,7 +26,7 @@ import os
 import time
 
 from repro.bench import history
-from repro.obs import Observer
+from repro.obs.observer import Observer
 from repro.service.api import build_service
 
 MIN_SPEEDUP = 1.3

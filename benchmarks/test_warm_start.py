@@ -103,7 +103,7 @@ def _measure_warm_start(tmp_path) -> dict:
 
 
 def _measure_hunt_campaign(tmp_path) -> dict:
-    from repro.harness import run_campaign
+    from repro.harness.campaign import run_campaign
 
     corpus = tmp_path / "hunt-corpus"
     corpus.mkdir()

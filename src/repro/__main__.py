@@ -194,7 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     observer = None
     if args.metrics and args.tool == "safe-sulong":
-        from .obs import Observer
+        from .obs.observer import Observer
         observer = Observer(enabled=True)
     recorder = previous = None
     if args.trace_spans:
@@ -222,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from .obs import profile_source, render_profile
+    from .obs.profile import profile_source, render_profile
     from .obs.profile import DEFAULT_JIT_THRESHOLD
     try:
         source = _read_source(args.program)
@@ -263,11 +263,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if not result.stdout.endswith(b"\n"):
             sys.stdout.write("\n")
     if args.hot_checks:
-        from .obs import render_hot_checks
+        from .obs.profile import render_hot_checks
         print(render_hot_checks(snapshot, [result], top=args.hot_checks,
                                 source=source, program=args.program))
     elif lines:
-        from .obs import render_lines
+        from .obs.lines import render_lines
         print(render_lines(snapshot, source, args.program,
                            program=args.program))
     else:
@@ -282,7 +282,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         from .obs.provenance import render_heap_dump
         print(render_heap_dump(result.runtime))
     if args.flamegraph:
-        from .obs import write_flamegraph
+        from .obs.lines import write_flamegraph
         count = write_flamegraph(args.flamegraph, snapshot)
         print(f"flamegraph ({count} stacks) written to "
               f"{args.flamegraph}", file=sys.stderr)
@@ -297,8 +297,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
-    from .harness import Quotas, collect_programs, run_campaign, selftest
-    from .harness.campaign import _default_progress
+    from .harness.campaign import (_default_progress, collect_programs,
+                                   run_campaign, selftest)
+    from .harness.quotas import Quotas
 
     if args.selftest:
         ok, problems = selftest(timeout=args.timeout or 2.0,
@@ -1333,8 +1334,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="Appends the current per-benchmark snapshots as one run "
                "entry; identical consecutive snapshots are not "
-               "re-appended.  Also reachable as "
-               "tools/bench_history.py.")
+               "re-appended.")
     bench_parser.add_argument("--root", default=None, metavar="DIR",
                               help="directory holding the BENCH_*.json "
                                    "files (default: current directory)")

@@ -155,7 +155,7 @@ def make_session(program: str, configuration: str) -> Session:
                              name=configuration, filename=filename)
     config, observer, extra = MANAGED_CONFIGURATIONS[configuration]
     if observer is not None:
-        from ..obs import Observer
+        from ..obs.observer import Observer
         observer = Observer(**observer)
     return ManagedSession(source, config, observer=observer,
                           filename=filename, **extra)

@@ -101,6 +101,46 @@ class BugReport:
     def __repr__(self) -> str:
         return f"BugReport({self})"
 
+    def to_dict(self) -> dict:
+        """The JSON form workers report and explain packets carry, with
+        every source location as its ``file:line:col`` string;
+        :meth:`from_dict` reads it back."""
+        return {
+            "kind": self.kind,
+            "message": self.message,
+            "location": _location_text(self.location),
+            "access": self.access,
+            "memory_kind": self.memory_kind,
+            "direction": self.direction,
+            "alloc_site": _location_text(self.alloc_site),
+            "free_site": _location_text(self.free_site),
+            "stack": [[function, _location_text(loc)]
+                      for function, loc in self.stack],
+            "object_label": self.object_label,
+            "object_size": self.object_size,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict, detector: str) -> "BugReport":
+        """A report from :meth:`to_dict`'s form; its locations stay
+        strings, which print as the originals did."""
+        return cls(data.get("kind", "?"), data.get("message", ""),
+                   access=data.get("access"),
+                   memory_kind=data.get("memory_kind"),
+                   direction=data.get("direction"),
+                   location=data.get("location"),
+                   detector=detector,
+                   stack=[(function, loc) for function, loc
+                          in data.get("stack") or []],
+                   alloc_site=data.get("alloc_site"),
+                   free_site=data.get("free_site"),
+                   object_label=data.get("object_label"),
+                   object_size=data.get("object_size"))
+
+
+def _location_text(loc) -> str | None:
+    return str(loc) if loc else None
+
 
 class SulongError(Exception):
     """Base of all errors raised while executing a program."""

@@ -12,6 +12,7 @@ counter per function drives the dynamic-compilation tier in
 from __future__ import annotations
 
 import math
+import time
 import weakref
 
 from .. import ir
@@ -48,14 +49,13 @@ class _Return(Exception):
 
 
 class PreparedBlock:
-    __slots__ = ("steps", "terminator", "phi_moves", "label", "ninstr")
+    __slots__ = ("steps", "terminator", "phi_moves", "label")
 
     def __init__(self, label: str):
         self.label = label
         self.steps: list = []
         self.terminator = None
         self.phi_moves: dict[int, list] = {}
-        self.ninstr = 1  # steps + terminator, set after preparation
 
 
 class PreparedFunction:
@@ -71,7 +71,10 @@ class PreparedFunction:
         self.param_indices: list[int] = []
         self.call_count = 0
         self.compiled = None  # installed by the JIT tier
-        self.obs_instructions = 0  # retired here, observer-enabled only
+        # Instructions retired here, observer-enabled only: a one-slot
+        # list, so the counting steps and compiled code that add to it
+        # hold no reference back to this function.
+        self.obs_instructions = [0]
         # Speculative tier: the original function when ``function`` is a
         # safe-O2 clone; the SpeculationState (loop plans) the JIT
         # compiled into ``compiled``.
@@ -332,41 +335,35 @@ class Runtime:
             target = self.prepared_function(target)
         prepared: PreparedFunction = target
         prepared.call_count += 1
-        if prepared.compiled is not None:
-            try:
-                return prepared.compiled(self, args)
-            except DeoptSignal:
-                self._deoptimize(prepared)
-                return self.interpret(prepared, args)
-        if self.jit_threshold is not None \
+        if prepared.compiled is None \
                 and prepared.call_count == self.jit_threshold:
             if self.jit_compile_latency:
-                import time
                 self.compile_queue.append(
                     (time.monotonic() + self.jit_compile_latency,
                      prepared))
             else:
                 self._compile_now(prepared)
-                if prepared.compiled is not None:
-                    try:
-                        return prepared.compiled(self, args)
-                    except DeoptSignal:
-                        self._deoptimize(prepared)
-                        return self.interpret(prepared, args)
-        if self.compile_queue:
-            import time
-            now = time.monotonic()
-            if self.compile_queue[0][0] <= now:
-                _, queued = self.compile_queue.pop(0)
-                if queued.compiled is None:
-                    self._compile_now(queued)
-                # The compiler thread moves on to the next queued
-                # function only after another latency period.
-                if self.compile_queue:
-                    due, head = self.compile_queue[0]
-                    self.compile_queue[0] = (
-                        max(due, now + self.jit_compile_latency), head)
-        return self.interpret(prepared, args)
+        if prepared.compiled is None:
+            if self.compile_queue:
+                now = time.monotonic()
+                if self.compile_queue[0][0] <= now:
+                    _, queued = self.compile_queue.pop(0)
+                    if queued.compiled is None:
+                        self._compile_now(queued)
+                    # The compiler thread moves on to the next queued
+                    # function only after another latency period.
+                    if self.compile_queue:
+                        due, head = self.compile_queue[0]
+                        self.compile_queue[0] = (
+                            max(due, now + self.jit_compile_latency), head)
+            # Also when the queue just compiled this function: its
+            # compiled code runs from the next call on.
+            return self.interpret(prepared, args)
+        try:
+            return prepared.compiled(self, args)
+        except DeoptSignal:
+            self._deoptimize(prepared)
+            return self.interpret(prepared, args)
 
     def _deoptimize(self, prepared: PreparedFunction) -> None:
         """A compiled speculation guard failed before any side effect:
@@ -408,8 +405,9 @@ class Runtime:
                 pool.append(frame)
 
     def _run_blocks(self, prepared: PreparedFunction, frame: Frame):
-        if self._obs is not None:
-            return self._run_blocks_counting(prepared, frame)
+        """The block loop of every executor, the native machine's too.
+        Observation is not tested here: :func:`prepare_function` adds
+        it to the blocks as steps."""
         blocks = prepared.blocks
         index = 0
         previous = -1
@@ -430,102 +428,6 @@ class Runtime:
                             regs[dst] = value
             for step in block.steps:
                 step(frame)
-            result = block.terminator(frame)
-            if type(result) is tuple:
-                return result[0]
-            previous = index
-            index = result
-            self.steps += 1
-            if max_steps is not None and self.steps > max_steps:
-                raise InterpreterLimit(
-                    f"exceeded {max_steps} interpreter steps")
-
-    def _run_blocks_counting(self, prepared: PreparedFunction,
-                             frame: Frame):
-        recorder = getattr(self._obs, "recorder", None)
-        if recorder is not None:
-            return self._run_blocks_recording(prepared, frame, recorder)
-        blocks = prepared.blocks
-        index = 0
-        previous = -1
-        max_steps = self.max_steps
-        counters = self._obs.counters
-        while True:
-            block = blocks[index]
-            if block.phi_moves:
-                moves = block.phi_moves.get(previous)
-                if moves:
-                    values = [getter(frame) for _, getter in moves]
-                    for (dst, _), value in zip(moves, values):
-                        frame.regs[dst] = value
-            for step in block.steps:
-                step(frame)
-            counters["instructions"] += block.ninstr
-            prepared.obs_instructions += block.ninstr
-            result = block.terminator(frame)
-            if type(result) is tuple:
-                return result[0]
-            previous = index
-            index = result
-            self.steps += 1
-            if max_steps is not None and self.steps > max_steps:
-                raise InterpreterLimit(
-                    f"exceeded {max_steps} interpreter steps")
-
-    def _run_blocks_recording(self, prepared: PreparedFunction,
-                              frame: Frame, recorder):
-        """The counting loop plus the ``repro explain`` block recorder:
-        every block entry is recorded *before* its steps run, so when a
-        check fires the newest ring entry is the faulting block with
-        its entry-state register file."""
-        from ..obs.slices import MAX_OUT_MARKS, MAX_VISITED, REG_CAP
-        blocks = prepared.blocks
-        index = 0
-        previous = -1
-        max_steps = self.max_steps
-        counters = self._obs.counters
-        stdout = self.stdout
-        regs = frame.regs
-        ring_append = recorder.ring.append
-        visits = recorder.visits
-        while True:
-            block = blocks[index]
-            if block.phi_moves:
-                moves = block.phi_moves.get(previous)
-                if moves:
-                    values = [getter(frame) for _, getter in moves]
-                    for (dst, _), value in zip(moves, values):
-                        frame.regs[dst] = value
-            # Recorded inline (a call per block entry is measurable;
-            # BENCH_explain.json gates this loop at <2x).  Recorder
-            # fields reload every iteration: callees mutate them through
-            # their own recording loops.
-            step_no = recorder.steps
-            recorder.steps = step_no + 1
-            out_len = len(stdout)
-            ring_append((step_no, prepared, index, regs[:REG_CAP],
-                         out_len))
-            key = (prepared, index)
-            count = visits.get(key)
-            if count is not None:
-                visits[key] = count + 1
-            elif len(visits) < MAX_VISITED:
-                visits[key] = 1
-            else:
-                recorder.visits_capped = True
-            if out_len != recorder.last_out:
-                recorder.last_out = out_len
-                # Attribute the write to the previously-entered block:
-                # the bytes appeared during its steps.
-                if len(recorder.out_marks) < MAX_OUT_MARKS:
-                    recorder.out_marks.append((recorder.prev, out_len))
-                else:
-                    recorder.out_marks_capped = True
-            recorder.prev = (step_no, prepared, index)
-            for step in block.steps:
-                step(frame)
-            counters["instructions"] += block.ninstr
-            prepared.obs_instructions += block.ninstr
             result = block.terminator(frame)
             if type(result) is tuple:
                 return result[0]
@@ -603,13 +505,35 @@ class Runtime:
 
 def prepare_function(runtime: Runtime, function: ir.Function) -> PreparedFunction:
     prepared = PreparedFunction(function)
+    obs = runtime._obs
     # Superinstruction fusion collapses the hottest adjacent pairs
     # (cmp+br, gep+load, gep+store) into one node.  Fused nodes cannot
     # count per-instruction, so fusion only runs without an observer —
     # counting runs keep the exact one-node-per-instruction tree.
     prepare_body(prepared, _NodeBuilder, runtime,
-                 runtime._obs is None and runtime.fuse)
+                 obs is None and runtime.fuse)
+    if obs is not None:
+        # Observation as steps of each block: the last one counts the
+        # block's instructions (its nodes and terminator) once they
+        # ran; a recorder's runs first, after the phi moves, so a
+        # check that fires finds its block already recorded.
+        counters = obs.counters
+        tally = prepared.obs_instructions
+        recorder = obs.recorder
+        for index, block in enumerate(prepared.blocks):
+            block.steps.append(
+                _counting_step(counters, tally, len(block.steps) + 1))
+            if recorder is not None:
+                block.steps.insert(0, recorder.entry_step(
+                    prepared, index, runtime.stdout))
     return prepared
+
+
+def _counting_step(counters, tally: list, ninstr: int):
+    def count(frame):
+        counters["instructions"] += ninstr
+        tally[0] += ninstr
+    return count
 
 
 def prepare_body(prepared: PreparedFunction, builder_class, runtime,
@@ -662,7 +586,6 @@ def prepare_body(prepared: PreparedFunction, builder_class, runtime,
                         pblock.steps.append(node)
                     continue
             pblock.steps.append(builder.step(instruction))
-        pblock.ninstr = len(pblock.steps) + 1
         prepared.blocks.append(pblock)
     for block, pblock in zip(function.blocks, prepared.blocks):
         for phi in block.phis():

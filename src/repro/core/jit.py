@@ -140,7 +140,7 @@ class _Emitter:
         self.counting = runtime._obs is not None
         if self.counting:
             self.consts["_ctr"] = runtime._obs.counters
-            self.consts["_pf"] = prepared
+            self.consts["_tally"] = prepared.obs_instructions
         # Speculative tier: each loop plan compiles to a guard at the
         # header plus raw-array accesses in the body; a failed guard
         # raises DeoptSignal before any side effect of the activation.
@@ -244,7 +244,7 @@ class _Emitter:
             if self.counting:
                 ninstr = len(block.instructions)
                 self.emit(f"_ctr['instructions'] += {ninstr}")
-                self.emit(f"_pf.obs_instructions += {ninstr}")
+                self.emit(f"_tally[0] += {ninstr}")
             emitted = False
             instructions = block.instructions
             leading = 0

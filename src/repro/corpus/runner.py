@@ -91,7 +91,7 @@ def run_matrix(tools: dict[str, ToolRunner] | None = None,
         tools["safe-sulong"].cache = resolve_cache(cache_dir)
     observer = None
     if collect_metrics and "safe-sulong" in tools:
-        from ..obs import Observer
+        from ..obs.observer import Observer
         observer = Observer(enabled=True)
         tools = dict(tools)
         tools["safe-sulong"].observer = observer
@@ -111,7 +111,7 @@ def run_matrix(tools: dict[str, ToolRunner] | None = None,
             results[entry.name] = row_results
     metrics = None
     if observer is not None:
-        from ..obs import aggregate_metrics
+        from ..obs.metrics import aggregate_metrics
         metrics = aggregate_metrics([observer.snapshot()])
         # One shared observer watched every entry in-process.
         metrics["programs_with_metrics"] = len(entries)
@@ -163,7 +163,7 @@ def _run_matrix_isolated(tool_names: list[str],
             results[entry.name] = row_results
     metrics = None
     if collect_metrics:
-        from ..obs import aggregate_metrics
+        from ..obs.metrics import aggregate_metrics
         metrics = aggregate_metrics(
             [(record.get("result") or {}).get("metrics")
              for record in records.values()])

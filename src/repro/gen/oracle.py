@@ -109,14 +109,8 @@ def run_tier(runner, source: str, filename: str,
     from ..harness.triage import bug_signature
     from ..tools import detected as tool_detected
     result = runner.run(source, filename=filename, max_steps=max_steps)
-    signatures = tuple(sorted({
-        bug_signature({
-            "kind": bug.kind,
-            "location": str(bug.location) if bug.location else None,
-            "alloc_site": (str(bug.alloc_site)
-                           if getattr(bug, "alloc_site", None) else None),
-        })
-        for bug in result.bugs}))
+    signatures = tuple(sorted({bug_signature(bug.to_dict())
+                               for bug in result.bugs}))
     return TierOutcome(
         tier=getattr(runner, "name", "?"),
         status=result.status,
@@ -131,6 +125,27 @@ def run_tier(runner, source: str, filename: str,
     )
 
 
+def run_tiers(tiers: dict, source: str, filename: str,
+              max_steps: int | None = 5_000_000) -> dict[str, TierOutcome]:
+    """The outcome of ``source`` on each of ``tiers`` (name -> runner),
+    in ``TIER_NAMES`` order.  A tier that raises gets the error as its
+    ``internal_error``: a tier crashing is the finding."""
+    outcomes = {}
+    for name in TIER_NAMES:
+        if name not in tiers:
+            continue
+        try:
+            outcomes[name] = run_tier(tiers[name], source, filename,
+                                      max_steps=max_steps)
+        except Exception as error:
+            outcomes[name] = TierOutcome(
+                tier=name, status=None, stdout=b"", detected=False,
+                signatures=(), crashed=False, crash_message=None,
+                internal_error=f"{type(error).__name__}: {error}",
+                limit_exceeded=False, timed_out=False)
+    return outcomes
+
+
 def run_oracle(source: str, manifest: dict | None = None,
                filename: str | None = None,
                tiers: dict | None = None,
@@ -141,18 +156,7 @@ def run_oracle(source: str, manifest: dict | None = None,
     filename = filename or manifest.get("filename") or "gen-program.c"
     if tiers is None:
         tiers = make_tiers(cache_dir)
-    outcomes = {}
-    for name in TIER_NAMES:
-        if name not in tiers:
-            continue
-        try:
-            outcomes[name] = run_tier(tiers[name], source, filename)
-        except Exception as error:  # a tier crashing IS the finding
-            outcomes[name] = TierOutcome(
-                tier=name, status=None, stdout=b"", detected=False,
-                signatures=(), crashed=False, crash_message=None,
-                internal_error=f"{type(error).__name__}: {error}",
-                limit_exceeded=False, timed_out=False)
+    outcomes = run_tiers(tiers, source, filename)
     if seed is None:
         seed = manifest.get("seed")
     return classify(manifest, outcomes, seed=seed)

@@ -19,20 +19,3 @@ package provides that discipline for any ToolRunner:
 * :mod:`.worker` — the ``python -m repro.harness.worker`` subprocess
   entry point.
 """
-
-from .campaign import collect_programs, run_campaign, selftest
-from .faults import (CRASH_EXIT_CODE, FaultPlan, crash_point,
-                     parse_faults, torn_tail)
-from .pool import WorkerPool, WorkTask, build_ladder, run_one
-from .quotas import DEFAULT_TIMEOUT, Quotas
-from .report import CampaignReport, campaign_fingerprint, read_report
-from .triage import dedup_bugs, summarize, triage_result
-
-__all__ = [
-    "CRASH_EXIT_CODE", "CampaignReport", "DEFAULT_TIMEOUT", "FaultPlan",
-    "Quotas", "WorkTask", "WorkerPool", "build_ladder",
-    "campaign_fingerprint", "collect_programs", "crash_point",
-    "dedup_bugs",
-    "parse_faults", "read_report", "run_campaign", "run_one", "selftest",
-    "summarize", "torn_tail", "triage_result",
-]

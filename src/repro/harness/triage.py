@@ -113,7 +113,7 @@ def summarize(records: list[dict]) -> dict:
     """Campaign summary: triage histogram, deduplicated bugs, rung
     histograms, and (when workers collected them) aggregated
     check/JIT/heap metrics."""
-    from ..obs import aggregate_metrics
+    from ..obs.metrics import aggregate_metrics
     histogram = {category: 0 for category in CATEGORIES}
     rungs: dict[str, int] = {}
     transitions = 0

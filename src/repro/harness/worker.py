@@ -52,20 +52,7 @@ def serialize_result(result: ExecutionResult,
         "detector": result.detector,
         "status": result.status,
         "detected": detected(result),
-        "bugs": [{
-            "kind": bug.kind,
-            "message": bug.message,
-            "location": str(bug.location) if bug.location else None,
-            "access": bug.access,
-            "memory_kind": bug.memory_kind,
-            "direction": bug.direction,
-            "alloc_site": str(bug.alloc_site) if bug.alloc_site else None,
-            "free_site": str(bug.free_site) if bug.free_site else None,
-            "stack": [[function, str(loc) if loc else None]
-                      for function, loc in (bug.stack or [])],
-            "object_label": bug.object_label,
-            "object_size": bug.object_size,
-        } for bug in result.bugs],
+        "bugs": [bug.to_dict() for bug in result.bugs],
         "crashed": result.crashed,
         "crash_message": result.crash_message,
         "limit_exceeded": result.limit_exceeded,
@@ -84,27 +71,14 @@ def serialize_result(result: ExecutionResult,
 
 
 def deserialize_result(data: dict) -> ExecutionResult:
-    """Rebuild a (lightweight) ExecutionResult from a worker's JSON.
-
-    Bug locations come back as strings in the record's ``signatures``;
-    the reconstructed BugReport keeps kind/message/access metadata but
-    not a structured SourceLocation, and there is no runtime attached.
-    """
+    """Rebuild a (lightweight) ExecutionResult from a worker's JSON: no
+    runtime is attached, and bug locations stay strings."""
     from ..core.errors import BugReport
-    bugs = [BugReport(bug.get("kind", "?"), bug.get("message", ""),
-                      access=bug.get("access"),
-                      memory_kind=bug.get("memory_kind"),
-                      direction=bug.get("direction"),
-                      detector=data.get("detector", "?"),
-                      stack=[(frame[0], frame[1]) for frame
-                             in bug.get("stack") or []],
-                      alloc_site=bug.get("alloc_site"),
-                      free_site=bug.get("free_site"),
-                      object_label=bug.get("object_label"),
-                      object_size=bug.get("object_size"))
+    detector = data.get("detector", "?")
+    bugs = [BugReport.from_dict(bug, detector)
             for bug in data.get("bugs", ())]
     return ExecutionResult(
-        data.get("detector", "?"), status=data.get("status"),
+        detector, status=data.get("status"),
         stdout=base64.b64decode(data.get("stdout_b64", "")),
         stderr=base64.b64decode(data.get("stderr_b64", "")),
         bugs=bugs, crashed=bool(data.get("crashed")),
@@ -224,7 +198,7 @@ def run_job(job: dict) -> dict:
     tool = job.get("tool", "safe-sulong")
     observer = None
     if job.get("collect_metrics") and tool == "safe-sulong":
-        from ..obs import Observer
+        from ..obs.observer import Observer
         observer = Observer(enabled=True)
     recorder = None
     if job.get("trace_spans"):

@@ -23,10 +23,9 @@ from __future__ import annotations
 from .. import ir
 from ..ir import instructions as inst
 from ..ir import types as irt
-from ..core.errors import (InterpreterLimit, ProgramBug, ProgramCrash,
-                           ProgramExit)
-from ..core.interpreter import (Frame, PreparedFunction, _NodeBuilder,
-                                prepare_body)
+from ..core.errors import ProgramBug, ProgramCrash, ProgramExit
+from ..core.interpreter import (Frame, PreparedFunction, Runtime,
+                                _NodeBuilder, prepare_body)
 from ..core.bits import to_signed
 from . import memory as layout
 from .errors import Segfault
@@ -342,31 +341,8 @@ class NativeMachine:
             self.sp = saved_sp
             self.current_frame = saved_frame
 
-    def _run_blocks(self, prepared: PreparedFunction, frame: Frame):
-        blocks = prepared.blocks
-        index = 0
-        previous = -1
-        max_steps = self.max_steps
-        while True:
-            block = blocks[index]
-            if block.phi_moves:
-                moves = block.phi_moves.get(previous)
-                if moves:
-                    values = [getter(frame) for _, getter in moves]
-                    for (dst, _), value in zip(moves, values):
-                        frame.regs[dst] = value
-            for step in block.steps:
-                step(frame)
-            result = block.terminator(frame)
-            if type(result) is tuple:
-                return result[0]
-            previous = index
-            index = result
-            if max_steps is not None:
-                self.steps += 1
-                if self.steps > max_steps:
-                    raise InterpreterLimit(
-                        f"exceeded {max_steps} native steps")
+    # The interpreter's block loop: the same IR, on native frames.
+    _run_blocks = Runtime._run_blocks
 
     # -- stack allocation ---------------------------------------------------------
 

@@ -9,29 +9,9 @@ measured by the ``obs`` contract of ``benchmarks/test_overhead.py`` into
 ``BENCH_obs.json``).
 """
 
+# perfbench imports ``Observer`` from here; every other name is
+# imported from the module that defines it, so importing the engine
+# (which reaches ``obs.spans``) loads no renderer or replay code.
 from .observer import Observer
-from .metrics import (aggregate_metrics, check_breakdown,
-                      service_breakdown)
-from .profile import (hot_checks, profile_source, render_hot_checks,
-                      render_profile)
-from .provenance import (provenance_signature, render_bug_report,
-                         render_heap_dump)
-from .lines import collapsed_stacks, render_lines, write_flamegraph
-from .spans import SpanRecorder, set_recorder, span
-from .slices import (BlockRecorder, build_packet, canonical_packet_bytes,
-                     render_text, validate_packet)
-from .replay import (build_manifest, explain, explain_record,
-                     manifest_for_task, replay)
 
-__all__ = ["Observer", "aggregate_metrics", "check_breakdown",
-           "service_breakdown",
-           "profile_source", "render_profile",
-           "hot_checks", "render_hot_checks",
-           "render_bug_report", "render_heap_dump",
-           "provenance_signature",
-           "collapsed_stacks", "render_lines", "write_flamegraph",
-           "SpanRecorder", "set_recorder", "span",
-           "BlockRecorder", "build_packet", "canonical_packet_bytes",
-           "render_text", "validate_packet",
-           "build_manifest", "explain", "explain_record",
-           "manifest_for_task", "replay"]
+__all__ = ["Observer"]

@@ -175,12 +175,12 @@ class Observer:
                 merged[prepared.name] = {
                     "name": prepared.name,
                     "calls": prepared.call_count,
-                    "instructions": prepared.obs_instructions,
+                    "instructions": prepared.obs_instructions[0],
                     "compiled": prepared.compiled is not None,
                 }
             else:
                 entry["calls"] += prepared.call_count
-                entry["instructions"] += prepared.obs_instructions
+                entry["instructions"] += prepared.obs_instructions[0]
                 entry["compiled"] = (entry["compiled"]
                                      or prepared.compiled is not None)
         self.functions = sorted(

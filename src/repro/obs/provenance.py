@@ -85,13 +85,3 @@ def render_heap_dump(runtime, limit: int = 16) -> str:
         lines.append(f"  ... {len(objects) - limit} more")
     lines.append(f"  totals: {live} live ({live_bytes} B), {freed} freed")
     return "\n".join(lines)
-
-
-def provenance_signature(kind: str, location, alloc_site) -> str:
-    """Triage signature: (kind, fault site, alloc site).  Two faults at
-    the same line on objects from different allocation sites are
-    distinct bugs; the same fault found via different paths is one."""
-    signature = f"{kind or '?'}@{location or '?'}"
-    if alloc_site:
-        signature += f"#alloc@{alloc_site}"
-    return signature

@@ -10,10 +10,11 @@ hard size budget (``DEFAULT_BUDGET``, 64 KiB) so it fits an LLM context
 window; trimming removes the data farthest from the fault first and
 records every cut in ``packet["budget"]["trims"]``.
 
-The recorder is an interpreter hook: ``Runtime._run_blocks_recording``
-fills it once per basic-block entry with only O(1) work — a ring-buffer
-append of the entry-state register file, a visit-count bump, and an
-output watermark when stdout grew.
+The recorder is an interpreter hook: with it attached, every prepared
+block starts with a step (``BlockRecorder.entry_step``) that fills it
+with only O(1) work per entry — a ring-buffer append of the entry-state
+register file, a visit-count bump, and an output watermark when stdout
+grew.
 Like ``--lines`` mode, an attached recorder pins execution to the
 interpreter tier; a disabled observer specializes the hook away
 entirely, which ``BENCH_explain.json`` certifies at <3% overhead.
@@ -66,15 +67,16 @@ MAX_OUT_MARKS = 4096
 class BlockRecorder:
     """Bounded recorder of interpreter basic-block entries.
 
-    The interpreter's recording loop fills it inline on every block
-    entry: a ring append (entry snapshot), a visit-count increment, and
-    an output watermark append when stdout grew since the last entry.
-    Entries keep live references (prepared function, a register-file
-    slice); they are rendered JSON-safe only at packet-build time.
+    Each prepared block's first step (:meth:`entry_step`) fills it on
+    every entry: a ring append (entry snapshot), a visit-count
+    increment, and an output watermark append when stdout grew since
+    the last entry.  Entries keep live references (prepared function,
+    a register-file slice); they are rendered JSON-safe only at
+    packet-build time.
     """
 
     __slots__ = ("window", "steps", "ring", "visits", "visits_capped",
-                 "out_marks", "out_marks_capped", "last_out", "prev")
+                 "out_marks", "out_marks_capped", "last_out")
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         self.window = max(1, int(window))
@@ -91,7 +93,40 @@ class BlockRecorder:
         self.out_marks: list = []
         self.out_marks_capped = False
         self.last_out = 0
-        self.prev = None
+
+    def entry_step(self, prepared, index: int, stdout: bytearray):
+        """The step, first in block ``index`` of ``prepared``, that
+        records each entry; ``stdout`` is the runtime's.  It reads the
+        recorder's fields afresh each time: callees' blocks update
+        them too."""
+        ring = self.ring
+        visits = self.visits
+        key = (prepared, index)
+
+        def record(frame):
+            step_no = self.steps
+            self.steps = step_no + 1
+            out_len = len(stdout)
+            if out_len != self.last_out:
+                self.last_out = out_len
+                # Attribute the write to the previously-entered block,
+                # the newest ring entry: the bytes appeared during its
+                # steps.
+                if len(self.out_marks) < MAX_OUT_MARKS:
+                    self.out_marks.append(
+                        (ring[-1][:3] if ring else None, out_len))
+                else:
+                    self.out_marks_capped = True
+            ring.append((step_no, prepared, index, frame.regs[:REG_CAP],
+                         out_len))
+            count = visits.get(key)
+            if count is not None:
+                visits[key] = count + 1
+            elif len(visits) < MAX_VISITED:
+                visits[key] = 1
+            else:
+                self.visits_capped = True
+        return record
 
 
 # -- rendering recorder state into JSON-safe structures ---------------------
@@ -313,23 +348,7 @@ def _render_bugs(result) -> list:
     from .provenance import render_bug_report
     rendered = []
     for bug in result.bugs:
-        location = getattr(bug, "location", None)
-        alloc_site = getattr(bug, "alloc_site", None)
-        free_site = getattr(bug, "free_site", None)
-        entry = {
-            "kind": bug.kind,
-            "message": bug.message,
-            "location": str(location) if location else None,
-            "access": bug.access,
-            "memory_kind": bug.memory_kind,
-            "direction": bug.direction,
-            "alloc_site": str(alloc_site) if alloc_site else None,
-            "free_site": str(free_site) if free_site else None,
-            "stack": [[function, str(loc) if loc else None]
-                      for function, loc in (bug.stack or [])],
-            "object_label": bug.object_label,
-            "object_size": bug.object_size,
-        }
+        entry = bug.to_dict()
         entry["signature"] = bug_signature(entry)
         entry["provenance"] = render_bug_report(
             bug, detector=result.detector)
@@ -388,20 +407,9 @@ def divergence_slice(source: str, filename: str, *,
     """Run the managed tiers of the five-way oracle and, on
     disagreement, bisect the interpreter replay's output watermarks to
     the first divergent block."""
-    from ..gen.oracle import (MANAGED_TIERS, TierOutcome, managed_tiers,
-                              run_tier)
-    runners = managed_tiers(cache_dir)
-    outcomes: dict[str, TierOutcome] = {}
-    for name in MANAGED_TIERS:
-        try:
-            outcomes[name] = run_tier(runners[name], source, filename,
-                                      max_steps=max_steps)
-        except Exception as error:  # a tier crashing IS the finding
-            outcomes[name] = TierOutcome(
-                tier=name, status=None, stdout=b"", detected=False,
-                signatures=(), crashed=False, crash_message=None,
-                internal_error=f"{type(error).__name__}: {error}",
-                limit_exceeded=False, timed_out=False)
+    from ..gen.oracle import MANAGED_TIERS, managed_tiers, run_tiers
+    outcomes = run_tiers(managed_tiers(cache_dir), source, filename,
+                         max_steps=max_steps)
     table = {
         name: {
             "status": outcome.status,

@@ -42,7 +42,7 @@ from ..harness import faults
 from ..harness.pool import WorkerPool, WorkTask, build_ladder
 from ..harness.quotas import DEFAULT_TIMEOUT, Quotas
 from ..harness.worker import SPEC_KEYS
-from ..obs import Observer
+from ..obs.observer import Observer
 from .bugdb import BugDatabase
 from .queue import JobQueue
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.interproc import CallGraph
 from repro.core import SafeSulong
-from repro.obs import Observer
+from repro.obs.observer import Observer
 
 pytestmark = pytest.mark.lint
 

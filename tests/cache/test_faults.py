@@ -8,7 +8,7 @@ import os
 from repro.cache import CompilationCache
 from repro.core import SafeSulong
 from repro.harness import faults
-from repro.obs import Observer
+from repro.obs.observer import Observer
 
 SOURCE = """
 #include <stdio.h>
@@ -98,7 +98,7 @@ def test_campaign_with_midflight_corruption(tmp_path):
     """Warm a two-program campaign, then re-run it with every worker
     attempt corrupting the shared store first: same triage, same bug
     signatures, rejects visible in the aggregated metrics."""
-    from repro.harness import run_campaign
+    from repro.harness.campaign import run_campaign
 
     corpus = tmp_path / "corpus"
     corpus.mkdir()

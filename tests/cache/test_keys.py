@@ -6,7 +6,7 @@ import pytest
 
 from repro.cache import CompilationCache
 from repro.core import SafeSulong
-from repro.obs import Observer
+from repro.obs.observer import Observer
 
 HEADER_TEMPLATE = "#define VALUE {value}\n"
 SOURCE_WITH_INCLUDE = '#include "config.h"\nint value(void) { return VALUE; }\n'

@@ -162,7 +162,7 @@ def test_disk_usage_and_clear(tmp_path):
 
 
 def test_observer_counters_and_events(tmp_path):
-    from repro.obs import Observer
+    from repro.obs.observer import Observer
     observer = Observer(enabled=True)
     store = CacheStore(str(tmp_path))
     store.observer = observer

@@ -6,6 +6,8 @@ import pytest
 from repro import ir
 from repro.core import SafeSulong
 from repro.core.errors import BugKind
+from repro.obs.observer import Observer
+from repro.tools import AsanRunner, MemcheckRunner, NativeRunner
 
 
 class TestProcessModel:
@@ -202,3 +204,28 @@ class TestInterpreterLimits:
             int main(void) { for (;;) {} return 0; }
         """)
         assert result.limit_exceeded
+
+    # Every executor runs the interpreter's block loop: the managed
+    # interpreter as prepared with no observer, with counting steps and
+    # with recording steps, and the native machine under each tool.
+    BUDGETED = {
+        "interpreter": lambda: SafeSulong(max_steps=100),
+        "counting": lambda: SafeSulong(max_steps=100, observer=Observer()),
+        "block-trace": lambda: SafeSulong(
+            max_steps=100, observer=Observer(block_trace=True)),
+        "clang-O0": lambda: NativeRunner(0),
+        "asan-O0": lambda: AsanRunner(0),
+        "memcheck-O0": lambda: MemcheckRunner(0),
+    }
+
+    @pytest.mark.parametrize("executor", sorted(BUDGETED))
+    def test_step_budget_on_every_executor(self, libc, executor):
+        runner = self.BUDGETED[executor]()
+        source = "int main(void) { for (;;); }\n"
+        if isinstance(runner, SafeSulong):
+            result = runner.run_source(source)
+        else:
+            result = runner.run(source, max_steps=100)
+        assert result.limit_exceeded
+        assert result.crash_message == "exceeded 100 interpreter steps"
+        assert result.runtime.steps == 101

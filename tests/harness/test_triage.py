@@ -55,6 +55,20 @@ class TestSignatures:
     def test_missing_location_placeholder(self):
         assert bug_signature({"kind": "leak"}) == "leak@?"
 
+    def test_alloc_site_splits_same_fault_line(self):
+        # Two objects from different allocation sites faulting at the
+        # same line are distinct bugs.
+        fault = {"kind": "out-of-bounds", "location": "p.c:9:5"}
+        a = bug_signature(dict(fault, alloc_site="p.c:3:14"))
+        b = bug_signature(dict(fault, alloc_site="p.c:4:14"))
+        assert a != b
+        assert a.startswith("out-of-bounds@p.c:9:5#alloc@")
+
+    def test_no_alloc_site_degrades_to_kind_at_location(self):
+        assert bug_signature({"kind": "null-dereference",
+                              "location": "p.c:2:3", "alloc_site": None}) \
+            == "null-dereference@p.c:2:3"
+
     def test_signatures_deduped_within_result(self):
         result = _result(bugs=[OOB, dict(OOB), UAF])
         assert signatures(result) == ["out-of-bounds@a.c:3:5",

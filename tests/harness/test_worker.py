@@ -25,15 +25,12 @@ STARTUP_MODULES = {
     "repro.core.bits", "repro.core.config", "repro.core.engine",
     "repro.core.errors", "repro.core.interpreter", "repro.core.intrinsics",
     "repro.core.leakcheck", "repro.core.objects", "repro.harness",
-    "repro.harness.campaign", "repro.harness.faults", "repro.harness.pool",
-    "repro.harness.quotas", "repro.harness.report", "repro.harness.triage",
-    "repro.harness.worker", "repro.ir", "repro.ir.builder", "repro.ir.clone",
-    "repro.ir.instructions", "repro.ir.module", "repro.ir.printer",
-    "repro.ir.types", "repro.ir.validate", "repro.ir.values", "repro.libc",
-    "repro.libc.loader", "repro.obs", "repro.obs.lines", "repro.obs.metrics",
-    "repro.obs.observer", "repro.obs.profile", "repro.obs.provenance",
-    "repro.obs.replay", "repro.obs.slices", "repro.obs.spans",
-    "repro.source",
+    "repro.harness.faults", "repro.harness.worker", "repro.ir",
+    "repro.ir.builder", "repro.ir.clone", "repro.ir.instructions",
+    "repro.ir.module", "repro.ir.printer", "repro.ir.types",
+    "repro.ir.validate", "repro.ir.values", "repro.libc",
+    "repro.libc.loader", "repro.obs", "repro.obs.observer",
+    "repro.obs.spans", "repro.source",
 }
 
 LOADED = ("import sys, repro.harness.worker\n"

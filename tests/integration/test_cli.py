@@ -79,6 +79,17 @@ class TestRunCommand:
                        program_file(source)])
         assert status == 5
 
+    def test_timeout_run_reports_like_in_process(self, program_file,
+                                                 capsys):
+        # --timeout runs the program in a harness worker; the report it
+        # prints, bug location included, is the in-process one.
+        path = program_file(BUGGY)
+        assert main(["run", "--no-cache", path]) == 3
+        in_process = capsys.readouterr().err
+        assert f"of stack object at {path}:4:" in in_process
+        assert main(["run", "--no-cache", "--timeout", "60", path]) == 3
+        assert capsys.readouterr().err == in_process
+
     def test_bug_gets_provenance_block(self, program_file, capsys):
         status = main(["run", "--no-cache", program_file(UAF)])
         assert status == 3

@@ -2,8 +2,8 @@
 render, and the collapsed-stack flamegraph export."""
 
 from repro.core import SafeSulong
-from repro.obs import Observer, collapsed_stacks, render_lines, \
-    write_flamegraph
+from repro.obs.lines import collapsed_stacks, render_lines, write_flamegraph
+from repro.obs.observer import Observer
 
 LOOP = """\
 #include <stdlib.h>

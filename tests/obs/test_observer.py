@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core import SafeSulong
-from repro.obs import Observer
+from repro.obs.observer import Observer
 from repro.obs.observer import MAX_EVENTS
 
 COUNT_PROGRAM = """

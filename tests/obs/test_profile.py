@@ -3,8 +3,8 @@
 import json
 import re
 
-from repro.obs import (aggregate_metrics, check_breakdown, hot_checks,
-                       profile_source, render_profile)
+from repro.obs.metrics import aggregate_metrics, check_breakdown
+from repro.obs.profile import hot_checks, profile_source, render_profile
 
 HOT_PROGRAM = """
 #include <stdio.h>
@@ -87,7 +87,7 @@ class TestCacheRows:
         # artifact class must get a row, or the rows undercount.
         from repro.cache import CompilationCache
         from repro.core import EngineConfig, SafeSulong
-        from repro.obs import Observer
+        from repro.obs.observer import Observer
         from repro.opt import elide
         observer = Observer(enabled=True)
         cache = CompilationCache(str(tmp_path))

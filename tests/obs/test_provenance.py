@@ -12,8 +12,7 @@ provenance relative to the interpreter).
 import pytest
 
 from repro.core import SafeSulong
-from repro.obs.provenance import (provenance_signature, render_bug_report,
-                                  render_heap_dump)
+from repro.obs.provenance import render_bug_report, render_heap_dump
 
 UAF = """
 #include <stdlib.h>
@@ -174,18 +173,3 @@ class TestHeapDump:
         result = engine.run_source("int main(void){return 0;}",
                                    filename="t.c")
         assert "unavailable" in render_heap_dump(result.runtime)
-
-
-class TestSignature:
-    def test_alloc_site_splits_same_fault_line(self):
-        # Two objects from different allocation sites faulting at the
-        # same line are distinct bugs; the old kind@location signature
-        # collapsed them.
-        a = provenance_signature("out-of-bounds", "p.c:9:5", "p.c:3:14")
-        b = provenance_signature("out-of-bounds", "p.c:9:5", "p.c:4:14")
-        assert a != b
-        assert a.startswith("out-of-bounds@p.c:9:5#alloc@")
-
-    def test_no_alloc_site_degrades_to_kind_at_location(self):
-        assert provenance_signature("null-dereference", "p.c:2:3", None) \
-            == "null-dereference@p.c:2:3"

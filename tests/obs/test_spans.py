@@ -170,7 +170,7 @@ KILL_VICTIM = r"""
 import sys
 sys.path.insert(0, {src!r})
 from repro.core import SafeSulong
-from repro.obs import Observer
+from repro.obs.observer import Observer
 from repro.obs.spans import SpanRecorder, set_recorder
 
 set_recorder(SpanRecorder(path={span_path!r}))

@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import Observer
+from repro.obs.observer import Observer
 from repro.service.api import ServiceServer, build_service
 from repro.service.queue import DONE, QUEUED
 

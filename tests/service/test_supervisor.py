@@ -4,7 +4,7 @@ degradation ladder, service fault recovery, lease→run→record→complete."""
 import pytest
 
 from repro.harness.faults import parse_faults
-from repro.obs import Observer
+from repro.obs.observer import Observer
 from repro.service.api import build_service
 from repro.service.queue import DONE, LEASED, QUEUED
 
