@@ -21,15 +21,15 @@ from ..ir import instructions as inst
 from ..ir import types as irt
 from . import objects as mo
 from .bits import int_divrem, round_to_f32, to_signed
-from .errors import (DeoptSignal, NullDereferenceError, ProgramBug,
-                     ProgramCrash, TypeViolationError)
+from .errors import (DeoptSignal, InterpreterLimit, NullDereferenceError,
+                     ProgramBug, ProgramCrash, TypeViolationError)
 from .interpreter import (Frame, PreparedFunction, _check_pointer,
                           _counter_key, _is_nullish, _pack_args, _ptr_eq)
 
 
 # Part of ``tools.engine_version()``: bump whenever a change to the
 # generated code could change what compiled functions detect.
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 
 class CompileUnsupported(Exception):
@@ -121,6 +121,7 @@ _HELPER_NAMESPACE = {
     # Speculative tier: guard failures raise _Deopt, caught at the
     # innermost compiled-call boundary (``Runtime._deoptimize``).
     "_Deopt": DeoptSignal,
+    "_Limit": InterpreterLimit,
     "_IntArr": mo.IntArrayObject,
     "_FloatArr": mo.FloatArrayObject,
 }
@@ -232,6 +233,10 @@ class _Emitter:
         self.emit("_b = 0")
         if self.needs_prev:
             self.emit("_prev = -1")
+        if self.spec_plans:
+            # A deopt replays the activation on the interpreter, which
+            # counts its steps again.
+            self.emit("_s0 = rt.steps")
         self.emit("try:")
         self.indent = 2
         self.emit("while True:")
@@ -336,7 +341,8 @@ class _Emitter:
         Any failure raises DeoptSignal (the preheader is deopt-clean, so
         the activation replays on the interpreter from scratch)."""
         pre = self._block_index(plan.preheader)
-        deopt = (f"raise _Deopt({self.prepared.function.name!r}, "
+        deopt = (f"rt.steps = _s0; raise _Deopt("
+                 f"{self.prepared.function.name!r}, "
                  f"'speculation guard failed')")
         signed = plan.predicate in ("slt", "sle")
         inclusive = plan.predicate in ("sle", "ule")
@@ -626,29 +632,30 @@ class _Emitter:
             self.emit(call)
 
     def _i_Br(self, i: inst.Br) -> None:
-        index = self._block_index(i.target)
-        if self.needs_prev:
-            self.emit(f"_prev = {self.block_index_current}")
-        self.emit(f"_b = {index}")
-        self.emit("continue")
+        self._transfer(str(self._block_index(i.target)))
 
     def _i_CondBr(self, i: inst.CondBr) -> None:
-        true_index = self._block_index(i.if_true)
-        false_index = self._block_index(i.if_false)
-        if self.needs_prev:
-            self.emit(f"_prev = {self.block_index_current}")
-        self.emit(f"_b = {true_index} if {self.operand(i.condition)} "
-                  f"else {false_index}")
-        self.emit("continue")
+        self._transfer(f"{self._block_index(i.if_true)} "
+                       f"if {self.operand(i.condition)} "
+                       f"else {self._block_index(i.if_false)}")
 
     def _i_Switch(self, i: inst.Switch) -> None:
         table = {case: self._block_index(block) for case, block in i.cases}
-        table_name = self.const(table, "sw")
-        default = self._block_index(i.default)
+        self._transfer(f"{self.const(table, 'sw')}.get("
+                       f"{self.operand(i.value)}, "
+                       f"{self._block_index(i.default)})")
+
+    def _transfer(self, target: str) -> None:
+        """Go to block ``target``, counting the step where
+        ``_run_blocks`` counts it, against the same budget."""
         if self.needs_prev:
             self.emit(f"_prev = {self.block_index_current}")
-        self.emit(f"_b = {table_name}.get({self.operand(i.value)}, "
-                  f"{default})")
+        self.emit(f"_b = {target}")
+        self.emit("rt.steps += 1")
+        limit = self.runtime.max_steps
+        if limit is not None:
+            self.emit(f"if rt.steps > {limit}: raise _Limit("
+                      f"'exceeded {limit} interpreter steps')")
         self.emit("continue")
 
     def _i_Ret(self, i: inst.Ret) -> None:

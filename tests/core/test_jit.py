@@ -3,6 +3,8 @@ the interpreter, safe semantics, and the background-compiler model."""
 
 import pytest
 
+from repro.bench.harness import PROGRAMS as SHOOTOUT
+from repro.bench.harness import program_source
 from repro.core import SafeSulong
 from repro.core.errors import BugKind
 
@@ -183,3 +185,42 @@ class TestBackgroundCompilerModel:
         """)
         names = [name for _, name in result.runtime.compile_log]
         assert "a" in names and "b" in names
+
+
+# The third call spins long after the function was compiled at its
+# second: only compiled code's own step count can stop it.
+SPIN = """
+    int spin(int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) s += i;
+        return s;
+    }
+    int main(void) { spin(1); spin(1); return spin(50000) & 1; }
+"""
+
+TIERS = {"interpreter": {}, "jit": {"jit_threshold": 2},
+         "speculate": {"jit_threshold": 2, "speculate": True}}
+
+
+class TestStepCount:
+    """Compiled code counts a step at every block transfer, where the
+    interpreter's block loop counts one, against the same budget."""
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_budget_stops_a_loop_in_a_compiled_function(self, tier):
+        result = SafeSulong(max_steps=10_000, **TIERS[tier]).run_source(SPIN)
+        assert result.limit_exceeded
+        assert result.crash_message == "exceeded 10000 interpreter steps"
+        assert result.runtime.steps == 10_001
+        compiled = result.runtime.prepared["spin"].compiled
+        assert (compiled is None) == (tier == "interpreter")
+
+    @pytest.mark.parametrize("name", SHOOTOUT)
+    def test_steps_equal_across_tiers(self, name):
+        source = program_source(name)
+        runs = {tier: SafeSulong(**options).run_source(source)
+                for tier, options in TIERS.items()}
+        assert runs["jit"].runtime.compiled_functions
+        steps = {tier: run.runtime.steps for tier, run in runs.items()}
+        assert len(set(steps.values())) == 1, steps
+        assert len({run.stdout for run in runs.values()}) == 1

@@ -86,6 +86,8 @@ class TestInterpreterGuards:
         assert plain.bugs and plain.bugs[0].kind == "out-of-bounds"
         assert _signature(spec) == _signature(plain)
         assert spec.runtime.guard_trips == spec.runtime.deopts == 1
+        # The deopt undoes the steps the replayed activation counted.
+        assert spec.runtime.steps == plain.runtime.steps
 
     def test_guard_trip_without_bug_stays_correct(self):
         # A struct field passed where the guard expects an int array:
@@ -97,6 +99,7 @@ class TestInterpreterGuards:
         assert not plain.bugs
         assert _signature(spec) == _signature(plain)
         assert spec.runtime.guard_trips == spec.runtime.deopts == 1
+        assert spec.runtime.steps == plain.runtime.steps
 
     def test_interpreter_prepares_one_block_per_ir_block(self):
         spec = SafeSulong(speculate=True).run_source(CLEAN)
