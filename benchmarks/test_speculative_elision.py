@@ -73,8 +73,8 @@ def _measure(program: str) -> dict:
         "base_s": base_best,
         "spec_s": spec_best,
         "speedup": base_best / spec_best,
-        "guard_trips": spec.runtime.guard_trips,
-        "deopts": spec.runtime.deopts,
+        "guard_trips": spec.process.guard_trips,
+        "deopts": spec.process.deopts,
     }
 
 

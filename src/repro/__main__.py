@@ -51,6 +51,7 @@ import base64
 import sys
 
 from .core.config import EngineConfig
+from .harness import quotas
 from .tools import all_runners
 
 
@@ -792,10 +793,10 @@ _ENGINE_FLAGS = {
                     "lint each program and record the findings on its "
                     "report record"),
 }
-# hunt and serve default to the harness budget (harness/quotas.py).
-_CAMPAIGN_DEFAULTS = {"--max-steps": 2_000_000,
-                      "--heap-quota": 64 * 1024 * 1024,
-                      "--output-cap": 1024 * 1024}
+# hunt and serve default to the harness budget.
+_CAMPAIGN_DEFAULTS = {"--max-steps": quotas.DEFAULT_MAX_STEPS,
+                      "--heap-quota": quotas.DEFAULT_HEAP_BYTES,
+                      "--output-cap": quotas.DEFAULT_OUTPUT_BYTES}
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser, *flags: str,

@@ -13,7 +13,6 @@ from .dataflow import DataflowAnalysis, DataflowResult, solve
 from .intervals import Interval, IntervalAnalysis
 from .pointers import NONNULL, NULL, MAYBE, PointerAnalysis, PointerFact, Region
 from .heapstate import HeapStateAnalysis, UninitAnalysis
-from .liveness import LivenessAnalysis
 from .lint import (DIAGNOSTIC_KINDS, SEVERITY, Diagnostic,
                    apply_baseline, lint_module, lint_source,
                    load_baseline, render_json, render_sarif,
@@ -25,7 +24,6 @@ __all__ = [
     "Interval", "IntervalAnalysis",
     "NONNULL", "NULL", "MAYBE", "PointerAnalysis", "PointerFact", "Region",
     "HeapStateAnalysis", "UninitAnalysis",
-    "LivenessAnalysis",
     "DIAGNOSTIC_KINDS", "SEVERITY", "Diagnostic",
     "apply_baseline", "load_baseline", "write_baseline",
     "lint_module", "lint_source", "render_json", "render_sarif",

@@ -1,4 +1,4 @@
-"""Generic forward/backward worklist dataflow solver.
+"""Generic forward worklist dataflow solver.
 
 An analysis subclasses :class:`DataflowAnalysis` and provides lattice
 operations; :func:`solve` runs the worklist to a fixpoint over one
@@ -195,14 +195,12 @@ class DataflowAnalysis:
     """Base class for dataflow clients.  Subclasses override the lattice
     hooks; the solver drives them to a fixpoint."""
 
-    direction = "forward"  # or "backward"
-
     def __init__(self):
         # Populated by solve(): id(register) -> defining instruction.
         self.definitions: dict[int, inst.Instruction] = {}
 
     def boundary_state(self, function: Function) -> State:
-        """State at the entry (forward) or at every exit (backward)."""
+        """State at the entry."""
         return {}
 
     def join(self, states: list[State]) -> State:
@@ -210,9 +208,9 @@ class DataflowAnalysis:
 
     def merge(self, block: Block,
               incoming: list[tuple[Block, State]]) -> State:
-        """Forward only: combine per-edge states at a join point.  The
-        default ignores which edge each state arrived on; phi-aware
-        analyses override this."""
+        """Combine per-edge states at a join point.  The default
+        ignores which edge each state arrived on; phi-aware analyses
+        override this."""
         return self.join([state for _, state in incoming])
 
     def transfer(self, block: Block, state: State) -> State:
@@ -246,8 +244,8 @@ class DataflowAnalysis:
 
 class DataflowResult:
     """Fixpoint states: ``input[block]`` is the state before the block's
-    first instruction, ``output[block]`` after its terminator (swapped
-    for backward analyses).  Unreachable blocks are absent."""
+    first instruction, ``output[block]`` after its terminator.
+    Unreachable blocks are absent."""
 
     def __init__(self, analysis: DataflowAnalysis, cfg: ControlFlowGraph,
                  input: dict[Block, State], output: dict[Block, State]):
@@ -265,12 +263,6 @@ def solve(analysis: DataflowAnalysis, function: Function,
           max_iterations: int = 100_000) -> DataflowResult:
     cfg = cfg or ControlFlowGraph(function)
     analysis.definitions = definition_map(function)
-    if analysis.direction == "forward":
-        return _solve_forward(analysis, function, cfg, max_iterations)
-    return _solve_backward(analysis, function, cfg, max_iterations)
-
-
-def _solve_forward(analysis, function, cfg, max_iterations):
     input_states: dict[Block, State] = {}
     output_states: dict[Block, State] = {}
     boundary = analysis.boundary_state(function)
@@ -312,41 +304,4 @@ def _solve_forward(analysis, function, cfg, max_iterations):
         output_states[block] = analysis.transfer(block, new_input)
         for succ in cfg.successors[block]:
             pending.add(succ)
-    return DataflowResult(analysis, cfg, input_states, output_states)
-
-
-def _solve_backward(analysis, function, cfg, max_iterations):
-    # For a backward analysis, "input" is the state at the block's *exit*
-    # and "output" the state at its entry (i.e. after the transfer runs
-    # the block in reverse).
-    input_states: dict[Block, State] = {}
-    output_states: dict[Block, State] = {}
-    boundary = analysis.boundary_state(function)
-    exits = [block for block in cfg.postorder if not cfg.successors[block]]
-
-    order = {block: i for i, block in enumerate(cfg.postorder)}
-    pending: set[Block] = set(exits) or set(cfg.postorder)
-    iterations = 0
-    while pending:
-        iterations += 1
-        if iterations > max_iterations:
-            raise RuntimeError(
-                f"dataflow did not converge in {function.name}")
-        block = min(pending, key=lambda b: order.get(b, 0))
-        pending.discard(block)
-
-        states = [output_states[succ] for succ in cfg.successors[block]
-                  if succ in output_states]
-        if block in exits:
-            states.append(boundary)
-        if not states:
-            continue
-        new_input = analysis.join(states)
-        if block in input_states and \
-                analysis.equal(input_states[block], new_input):
-            continue
-        input_states[block] = new_input
-        output_states[block] = analysis.transfer(block, new_input)
-        for pred in cfg.predecessors[block]:
-            pending.add(pred)
     return DataflowResult(analysis, cfg, input_states, output_states)

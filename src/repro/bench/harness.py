@@ -11,7 +11,6 @@ import time
 
 from ..core.config import EngineConfig
 from ..core.engine import SafeSulong
-from ..core.errors import ProgramExit
 from ..native import NativeMachine, compile_native
 from ..sanitizers.asan import AsanTool, instrument_module
 from ..sanitizers.memcheck import MemcheckTool
@@ -35,13 +34,18 @@ def program_source(name: str) -> str:
 
 
 class Session:
-    """One warmed-up execution configuration for one program."""
+    """One warmed-up execution configuration for one program: a
+    process (``core.interpreter.Process``) that keeps its prepared
+    code between iterations."""
 
     name = "session"
 
     def run_iteration(self) -> bytes:
-        """Run main() once; returns its stdout."""
-        raise NotImplementedError
+        """Run main() once on data reset like a process re-exec
+        (globals, heap, stack, tool state); returns its stdout."""
+        self.process.reset()
+        self.process.run_main()
+        return bytes(self.process.stdout)
 
     def timed_iteration(self) -> tuple[float, bytes]:
         started = time.perf_counter()
@@ -58,22 +62,13 @@ class ManagedSession(Session):
                  fuse: bool = True, jit_compile_latency: float = 0):
         self.name = "safe-sulong"
         engine = SafeSulong(config, observer=observer, fuse=fuse)
-        self.runtime = engine.new_runtime(
+        self.process = engine.new_runtime(
             engine.compile(source, filename),
             jit_compile_latency=jit_compile_latency)
 
-    def run_iteration(self) -> bytes:
-        runtime = self.runtime
-        runtime.reset()
-        try:
-            runtime.run_main()
-        except ProgramExit:
-            pass
-        return bytes(runtime.stdout)
-
     @property
     def compiled_functions(self) -> int:
-        return self.runtime.compiled_functions
+        return self.process.compiled_functions
 
 
 class NativeSession(Session):
@@ -87,23 +82,8 @@ class NativeSession(Session):
                                      opt_level=opt_level)
         if tool_factory is not None and tool_factory is AsanTool:
             instrument_module(self.module)
-        self.tool_factory = tool_factory
-        self.machine = self._new_machine()
-
-    def _new_machine(self) -> NativeMachine:
-        tool = self.tool_factory() if self.tool_factory else None
-        return NativeMachine(self.module, tool=tool)
-
-    def run_iteration(self) -> bytes:
-        # Reset data state (globals, heap, stack, tool shadow) like a
-        # process re-exec; the prepared code is reused.
-        machine = self.machine
-        machine.reset()
-        try:
-            machine.run_main()
-        except ProgramExit:
-            pass
-        return bytes(machine.stdout)
+        self.process = NativeMachine(
+            self.module, tool=tool_factory() if tool_factory else None)
 
 
 _INTERP = EngineConfig()

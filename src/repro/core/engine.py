@@ -75,6 +75,59 @@ class ExecutionResult:
         return f"<ExecutionResult[{self.detector}] exit={self.status}>"
 
 
+def run_outcome(detector: str, process, argv: list[str] | None = None,
+                stdin: bytes = b"", observer=None) -> ExecutionResult:
+    """Run ``process``'s main on ``argv`` and ``stdin`` and map how it
+    ended to an ExecutionResult: the one mapping for the managed
+    runtime and the native machine.  An ``observer`` (managed runs)
+    gets a quota event for a bounded-resource stop and, on every path,
+    the run's record."""
+    def ended(**outcome) -> ExecutionResult:
+        return ExecutionResult(detector, stdout=bytes(process.stdout),
+                               stderr=bytes(process.stderr),
+                               runtime=process, **outcome)
+
+    def stopped(kind: str, message: str, crash_message: str):
+        if observer is not None:
+            observer.emit("quota", kind=kind, message=message)
+        return ended(limit_exceeded=True, crash_message=crash_message)
+
+    try:
+        with span("execute", entry="main"):
+            status = process.run_main(argv=argv, stdin=stdin)
+    except ProgramBug as bug:
+        return ended(bugs=[bug.report(detector)])
+    except ProgramCrash as crash:
+        return ended(crashed=True, crash_message=str(crash))
+    except InterpreterLimit as limit:
+        return stopped(type(limit).__name__, str(limit), str(limit))
+    except MemoryError as exhausted:
+        # The host allocator gave out before (or without) a heap
+        # quota: a bounded-resource stop, not a caller-killing error.
+        message = str(exhausted or "MemoryError")
+        return stopped("MemoryError", message,
+                       f"host memory exhausted: {message}")
+    except DeoptSignal as signal:
+        # Deopts are consumed at the innermost compiled-call boundary
+        # (Runtime._dispatch_call); one reaching the engine means an
+        # execution-tier invariant broke — report it as an internal
+        # error rather than mislabel it a program behavior.
+        return ended(internal_error=f"DeoptSignal escaped to the engine "
+                                    f"boundary: {signal}")
+    except RecursionError as overflow:
+        # Program-driven recursion is converted to a crash at the call
+        # sites; one that escapes to this boundary means the *tool*
+        # recursed — an internal error.
+        return ended(internal_error=f"RecursionError escaped to the engine "
+                                    f"boundary: "
+                                    f"{overflow or 'stack overflow'}")
+    else:
+        return ended(status=status)
+    finally:
+        if observer is not None:
+            observer.record_run(process)
+
+
 class SafeSulong:
     """Public API of the managed bug-finding engine.  Engine options
     come as an :class:`~repro.core.config.EngineConfig` and/or keywords.
@@ -147,11 +200,8 @@ class SafeSulong:
     # -- execution ---------------------------------------------------------------
 
     def new_runtime(self, module: ir.Module, **runtime_options) -> Runtime:
-        """A runtime for ``module`` under this engine's config, with the
-        implications between options applied: use-after-scope hunting
-        (exact lifetimes) rules out speculative data caching."""
+        """A runtime for ``module`` under this engine's config."""
         config = self.config
-        speculate = config.speculate and not self.detect_use_after_scope
         if self.cache is not None:
             self.cache.observer = self.observer
         return Runtime(
@@ -162,80 +212,18 @@ class SafeSulong:
             max_heap_bytes=config.max_heap_bytes,
             max_call_depth=config.max_call_depth,
             max_output_bytes=config.max_output_bytes,
-            observer=self.observer, speculate=speculate,
+            observer=self.observer, speculate=config.speculate,
             fuse=self.fuse, **runtime_options)
 
     def run_module(self, module: ir.Module, argv: list[str] | None = None,
                    stdin: bytes = b"",
                    vfs: dict[str, bytes] | None = None) -> ExecutionResult:
         runtime = self.new_runtime(module)
-        if vfs:
-            runtime.vfs = {path: bytearray(data)
-                           for path, data in vfs.items()}
-        obs = runtime._obs
-        try:
-            with span("execute", entry="main"):
-                status = runtime.run_main(argv=argv, stdin=stdin)
-        except ProgramBug as bug:
-            return ExecutionResult(
-                self.name, stdout=bytes(runtime.stdout),
-                stderr=bytes(runtime.stderr), bugs=[bug.report(self.name)],
-                runtime=runtime)
-        except ProgramCrash as crash:
-            return ExecutionResult(
-                self.name, stdout=bytes(runtime.stdout),
-                stderr=bytes(runtime.stderr), crashed=True,
-                crash_message=str(crash), runtime=runtime)
-        except InterpreterLimit as limit:
-            if obs is not None:
-                obs.emit("quota", kind=type(limit).__name__,
-                         message=str(limit))
-            return ExecutionResult(
-                self.name, stdout=bytes(runtime.stdout),
-                stderr=bytes(runtime.stderr), limit_exceeded=True,
-                crash_message=str(limit), runtime=runtime)
-        except MemoryError as exhausted:
-            # The host allocator gave out before (or without) a heap
-            # quota: a bounded-resource stop, not a caller-killing error.
-            if obs is not None:
-                obs.emit("quota", kind="MemoryError",
-                         message=str(exhausted or "MemoryError"))
-            return ExecutionResult(
-                self.name, stdout=bytes(runtime.stdout),
-                stderr=bytes(runtime.stderr), limit_exceeded=True,
-                crash_message=f"host memory exhausted: "
-                              f"{exhausted or 'MemoryError'}",
-                runtime=runtime)
-        except DeoptSignal as signal:
-            # Deopts are consumed at the innermost compiled-call boundary
-            # (Runtime._dispatch_call); one reaching the engine means an
-            # execution-tier invariant broke — report it as an internal
-            # error rather than mislabel it a program behavior.
-            return ExecutionResult(
-                self.name, stdout=bytes(runtime.stdout),
-                stderr=bytes(runtime.stderr),
-                internal_error=f"DeoptSignal escaped to the engine "
-                               f"boundary: {signal}",
-                runtime=runtime)
-        except RecursionError as overflow:
-            # Program-driven recursion is converted to ProgramCrash at
-            # the call sites (interpreter/JIT); one that escapes to this
-            # boundary means the *tool* recursed — an internal error.
-            return ExecutionResult(
-                self.name, stdout=bytes(runtime.stdout),
-                stderr=bytes(runtime.stderr),
-                internal_error=f"RecursionError escaped to the engine "
-                               f"boundary: {overflow or 'stack overflow'}",
-                runtime=runtime)
-        finally:
-            if obs is not None:
-                obs.record_run(runtime)
-        bugs = []
-        if self.detect_leaks:
-            bugs = leakcheck.find_leaks(runtime)
-        return ExecutionResult(
-            self.name, status=status, stdout=bytes(runtime.stdout),
-            stderr=bytes(runtime.stderr), bugs=bugs, runtime=runtime)
+        runtime.mount(vfs)
+        result = run_outcome(self.name, runtime, argv, stdin, runtime._obs)
+        if self.detect_leaks and result.status is not None:
+            result.bugs = leakcheck.find_leaks(runtime)
+        return result
 
     def run_source(self, source: str, argv: list[str] | None = None,
                    stdin: bytes = b"", filename: str = "program.c",

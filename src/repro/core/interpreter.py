@@ -41,13 +41,6 @@ class Frame:
         self.saved_sp = 0
 
 
-class _Return(Exception):
-    """Internal unwinding for ret (only used by the JIT tier)."""
-
-    def __init__(self, value):
-        self.value = value
-
-
 class PreparedBlock:
     __slots__ = ("steps", "terminator", "phi_moves", "label")
 
@@ -86,9 +79,195 @@ class PreparedFunction:
         self.frame_pool: list = []
 
 
-class Runtime:
-    """Shared execution state: globals, prepared functions, intrinsics,
-    I/O buffers, allocation-site mementos, and engine options."""
+SEEK_SET, SEEK_CUR, SEEK_END = 0, 1, 2
+
+
+class Process:
+    """The process a C program runs in, under either memory model: the
+    standard streams, an fd table over an in-memory file system, the
+    environment, the call of main and its exit status, and the step
+    budget the block loop counts against.  :class:`Runtime` and the
+    native machine extend it with their memory models; their libcs
+    reach it through the ``sys_*`` calls (the paper's §3.1 "system
+    calls"), each returning -1 on failure, except ``sys_read``, which
+    returns the bytes read, or None for an fd that is not open."""
+
+    # Both models show a program the same environment, so a read past
+    # argv finds the same secret under every tool (§4.1 case 1).
+    ENVIRONMENT = ("SULONG_SECRET=hunter2", "PATH=/usr/bin", "HOME=/root")
+
+    def __init__(self, module: ir.Module, max_steps: int | None):
+        self.module = module
+        self.max_steps = max_steps
+        self.steps = 0
+        self.prepared: dict[str, PreparedFunction] = {}
+        self.stdout = bytearray()
+        self.stderr = bytearray()
+        self.stdin = bytearray()
+        self.stdin_pos = 0
+        # fd -> {"path", "mode", "data": the file's bytes in vfs, "pos"}
+        self.files: dict[int, dict] = {}
+        self.next_fd = 3
+        self.vfs: dict[str, bytearray] = {}
+        # Allocation-site plumbing: before dispatching an intrinsic the
+        # call node stores its identity (mementos, §3.3) and its source
+        # location (crash provenance) here, so malloc-family intrinsics
+        # can stamp the objects they build.
+        self.current_site = None
+        self.current_loc = None
+
+    def reset(self) -> None:
+        """Empty the streams and close every file for a fresh
+        in-process run (the benchmark harness's, between iterations);
+        the files themselves stay."""
+        self.stdout.clear()
+        self.stderr.clear()
+        self.stdin_pos = 0
+        self.files.clear()
+        self.next_fd = 3
+
+    def mount(self, files: dict[str, bytes] | None) -> None:
+        """Make ``files`` (path -> contents), if given, the file
+        system."""
+        if files:
+            self.vfs = {path: bytearray(data)
+                        for path, data in files.items()}
+
+    # -- system calls ---------------------------------------------------------
+
+    def sys_write(self, fd: int, data: bytes) -> int:
+        if fd == 1:
+            self.stdout.extend(data)
+        elif fd == 2:
+            self.stderr.extend(data)
+        else:
+            handle = self.files.get(fd)
+            if handle is None or "w" not in handle["mode"]:
+                return -1
+            handle["data"] += data
+            handle["pos"] = len(handle["data"])
+        return len(data)
+
+    def sys_read(self, fd: int, count: int) -> bytes | None:
+        """Up to ``count`` bytes from ``fd``; None if it is not open."""
+        if fd == 0:
+            data = bytes(self.stdin[self.stdin_pos:self.stdin_pos + count])
+            self.stdin_pos += len(data)
+            return data
+        handle = self.files.get(fd)
+        if handle is None:
+            return None
+        data = bytes(handle["data"][handle["pos"]:handle["pos"] + count])
+        handle["pos"] += len(data)
+        return data
+
+    def sys_open(self, path: str, mode: str) -> int:
+        if "r" in mode and path not in self.vfs:
+            return -1
+        if "w" in mode:
+            self.vfs[path] = bytearray()
+        fd = self.next_fd
+        self.next_fd += 1
+        self.files[fd] = {"path": path, "mode": mode, "pos": 0,
+                          "data": self.vfs.setdefault(path, bytearray())}
+        return fd
+
+    def sys_close(self, fd: int) -> int:
+        self.files.pop(fd, None)
+        return 0
+
+    def sys_lseek(self, fd: int, offset: int, whence: int) -> int:
+        if fd == 0:
+            position, size = self.stdin_pos, len(self.stdin)
+        else:
+            handle = self.files.get(fd)
+            if handle is None:
+                return -1
+            position, size = handle["pos"], len(handle["data"])
+        base = {SEEK_SET: 0, SEEK_CUR: position, SEEK_END: size}.get(whence)
+        if base is None or base + offset < 0:
+            return -1
+        position = base + offset
+        if fd == 0:
+            self.stdin_pos = position
+        else:
+            handle["pos"] = position
+        return position
+
+    def sys_remove(self, path: str) -> int:
+        if path not in self.vfs:
+            return -1
+        del self.vfs[path]
+        return 0
+
+    # -- program entry ----------------------------------------------------------
+
+    def run_main(self, argv: list[str] | None = None,
+                 stdin: bytes = b"") -> int:
+        """Run main on ``argv`` and ``stdin``, read from the start;
+        returns the exit status, exit()'s argument or else main's
+        return value, as a signed 32-bit int (0 for none)."""
+        self.stdin = bytearray(stdin)
+        self.stdin_pos = 0
+        main = self.module.functions.get("main")
+        if main is None or not main.is_definition:
+            raise ir.LinkError("program has no main()")
+        nparams = len(main.ftype.params)
+        args = self._main_args(list(argv or ["program"]), nparams)
+        try:
+            status = self._call_main(main, args[:nparams])
+        except ProgramExit as exit_request:
+            status = exit_request.status
+        if status is None:
+            return 0
+        return to_signed(status & 0xFFFFFFFF, 32)
+
+    def _main_args(self, argv: list[str], nparams: int) -> list:
+        """argc, argv and envp in this memory model (at least the
+        first ``nparams``)."""
+        raise NotImplementedError
+
+    def _call_main(self, main: ir.Function, args: list):
+        return self.call_function(main, args)
+
+    def _run_blocks(self, prepared: PreparedFunction, frame: Frame):
+        """The block loop of both executors.  Observation is not tested
+        here: :func:`prepare_function` adds it to the blocks as steps."""
+        blocks = prepared.blocks
+        index = 0
+        previous = -1
+        max_steps = self.max_steps
+        while True:
+            block = blocks[index]
+            if block.phi_moves:
+                moves = block.phi_moves.get(previous)
+                if moves:
+                    if len(moves) == 1:
+                        dst, getter = moves[0]
+                        frame.regs[dst] = getter(frame)
+                    else:
+                        # Parallel semantics: read all, then write all.
+                        values = [getter(frame) for _, getter in moves]
+                        regs = frame.regs
+                        for (dst, _), value in zip(moves, values):
+                            regs[dst] = value
+            for step in block.steps:
+                step(frame)
+            result = block.terminator(frame)
+            if type(result) is tuple:
+                return result[0]
+            previous = index
+            index = result
+            self.steps += 1
+            if max_steps is not None and self.steps > max_steps:
+                raise InterpreterLimit(
+                    f"exceeded {max_steps} interpreter steps")
+
+
+class Runtime(Process):
+    """The managed process: globals as managed objects, prepared
+    functions, intrinsics, allocation-site mementos, and engine
+    options."""
 
     def __init__(self, module: ir.Module, intrinsics: dict | None = None,
                  max_steps: int | None = None,
@@ -103,7 +282,7 @@ class Runtime:
                  observer=None,
                  speculate: bool = False,
                  fuse: bool = True):
-        self.module = module
+        super().__init__(module, max_steps)
         # Observability (obs/observer.py).  ``_obs`` is None unless an
         # *enabled* observer is attached — every hot-path hook branches
         # on that one local/attribute, and node preparation specializes
@@ -112,8 +291,6 @@ class Runtime:
         self._obs = observer if (observer is not None
                                  and observer.enabled) else None
         self.intrinsics = dict(intrinsics or {})
-        self.max_steps = max_steps
-        self.steps = 0
         # Resource quotas (harness hardening).  All default to None
         # (unlimited); when set, exceeding one raises a QuotaExceeded —
         # an InterpreterLimit — which the engine boundary converts into
@@ -138,15 +315,24 @@ class Runtime:
         self.jit_compile_latency = jit_compile_latency
         self.compile_queue: list[tuple[float, PreparedFunction]] = []
         self.detect_use_after_scope = detect_use_after_scope
-        self.jit_threshold = jit_threshold
+        # Use-after-scope hunting, line attribution and block-trace
+        # recording hook every instruction the interpreter runs, and
+        # compiled code runs no such hooks: those runs stay interpreted.
+        obs = self._obs
+        hooked = detect_use_after_scope or obs is not None and (
+            obs.lines or obs.recorder is not None)
+        self.jit_threshold = None if hooked else jit_threshold
         self.track_heap = track_heap
         # Speculative tier (opt/speculate.py): functions are prepared
         # from their safe-O2 clone, and the JIT compiles eligible counted
         # loops to one guard plus raw accesses.  A failed guard deopts
         # (DeoptSignal); ``guard_trips`` and ``deopts`` both count it.
         # ``elide_checks`` is the retired spelling of the same request:
-        # no executor reads static-elision marks.
-        self.speculate = speculate or elide_checks
+        # no executor reads static-elision marks.  Use-after-scope
+        # hunting wants every local's exact lifetime, which the clone's
+        # promoted locals do not have.
+        self.speculate = (speculate or elide_checks) \
+            and not detect_use_after_scope
         self.guard_trips = 0
         self.deopts = 0
         # Superinstruction fusion (prepare-time pair merging).  On by
@@ -155,24 +341,9 @@ class Runtime:
         self.fuse = fuse
         self.heap_objects: list = []
         self.global_objects: dict[str, mo.ManagedObject] = {}
-        self.prepared: dict[str, PreparedFunction] = {}
         self.alloc_site_memo: dict[int, object] = {}
-        self.stdout = bytearray()
-        self.stderr = bytearray()
-        self.stdin = bytearray()
-        self.stdin_pos = 0
-        self.files: dict[int, dict] = {}
-        self.next_fd = 3
         self.space = mo.address_space()
         self.compiled_functions = 0
-        self.compile_log: list[tuple[int, str]] = []
-        # Allocation-site plumbing: before dispatching an intrinsic the
-        # call node stores its identity (mementos, §3.3) and its source
-        # location (crash provenance) here, so malloc-family intrinsics
-        # can stamp the objects they build.
-        self.current_site = None
-        self.current_loc = None
-        self.vfs: dict[str, bytearray] = {}
         self._init_globals()
 
     # -- globals ------------------------------------------------------------
@@ -192,18 +363,12 @@ class Runtime:
                            getattr(gvar, "loc", None))
 
     def reset(self) -> None:
-        """Reset mutable program state for a fresh in-process run (used by
-        the benchmark harness between iterations)."""
+        super().reset()
         for name, gvar in self.module.globals.items():
             obj = self.global_objects[name]
             obj.zero_range(0, obj.byte_size)
             if gvar.initializer is not None:
                 self._fill_initializer(obj, 0, gvar.initializer)
-        self.stdout.clear()
-        self.stderr.clear()
-        self.stdin_pos = 0
-        self.files.clear()
-        self.next_fd = 3
         self.heap_objects.clear()
         self.call_depth = 0
         self.heap_meter = mo.AllocationMeter(self.heap_meter.limit)
@@ -304,21 +469,6 @@ class Runtime:
         """Compile on the dynamic tier; an internal compiler failure must
         never kill the run — the function just stays interpreted (the
         in-process analogue of the harness's JIT→interpreter rung)."""
-        if self._obs is not None and (
-                getattr(self._obs, "lines", False)
-                or getattr(self._obs, "recorder", None) is not None):
-            # Per-line attribution and block-trace recording both need
-            # the per-instruction interpreter nodes; the compiled tier
-            # aggregates whole blocks and would silently stop counting
-            # lines / entering the recorder.  Functions stay interpreted.
-            prepared.compiled = None
-            reason = ("line-attribution mode pins code to the interpreter"
-                      if getattr(self._obs, "lines", False) else
-                      "block-trace recording pins code to the interpreter")
-            self.compile_bailouts.append((prepared.name, reason))
-            self._obs.emit("jit-bailout", function=prepared.name,
-                           reason=reason)
-            return
         from .jit import compile_function
         try:
             compile_function(self, prepared)
@@ -404,72 +554,22 @@ class Runtime:
             if len(pool) < 16:
                 pool.append(frame)
 
-    def _run_blocks(self, prepared: PreparedFunction, frame: Frame):
-        """The block loop of every executor, the native machine's too.
-        Observation is not tested here: :func:`prepare_function` adds
-        it to the blocks as steps."""
-        blocks = prepared.blocks
-        index = 0
-        previous = -1
-        max_steps = self.max_steps
-        while True:
-            block = blocks[index]
-            if block.phi_moves:
-                moves = block.phi_moves.get(previous)
-                if moves:
-                    if len(moves) == 1:
-                        dst, getter = moves[0]
-                        frame.regs[dst] = getter(frame)
-                    else:
-                        # Parallel semantics: read all, then write all.
-                        values = [getter(frame) for _, getter in moves]
-                        regs = frame.regs
-                        for (dst, _), value in zip(moves, values):
-                            regs[dst] = value
-            for step in block.steps:
-                step(frame)
-            result = block.terminator(frame)
-            if type(result) is tuple:
-                return result[0]
-            previous = index
-            index = result
-            self.steps += 1
-            if max_steps is not None and self.steps > max_steps:
-                raise InterpreterLimit(
-                    f"exceeded {max_steps} interpreter steps")
-
     # -- entry point ----------------------------------------------------------------
 
-    def run_main(self, argv: list[str] | None = None,
-                 stdin: bytes = b"") -> int:
-        self.stdin = bytearray(stdin)
-        self.stdin_pos = 0
-        main = self.module.functions.get("main")
-        if main is None or not main.is_definition:
-            raise ir.LinkError("program has no main()")
-        args = []
-        nparams = len(main.ftype.params)
-        if nparams >= 1:
-            argv = list(argv or ["program"])
-            argc = len(argv)
-            args.append(argc)
+    def _main_args(self, argv: list[str], nparams: int) -> list:
+        args = [len(argv)]
         if nparams >= 2:
-            argv_obj = self._build_main_args(argv)
-            args.append(mo.Address(argv_obj, 0))
+            args.append(mo.Address(self._build_main_args(argv), 0))
         if nparams >= 3:
-            envp_obj = self._build_envp()
-            args.append(mo.Address(envp_obj, 0))
-        args = args[:nparams]
+            args.append(mo.Address(self._build_envp(), 0))
+        return args
+
+    def _call_main(self, main: ir.Function, args: list):
         mo.set_allocation_meter(self.heap_meter)
         try:
-            status = self.call_function(main, args)
-        except ProgramExit as exit_request:
-            return exit_request.status
+            return self.call_function(main, args)
         finally:
             mo.set_allocation_meter(None)
-        if status is None:
-            return 0
-        return to_signed(status & 0xFFFFFFFF, 32)
 
     def _build_main_args(self, argv: list[str]) -> mo.ManagedObject:
         """argv is a managed AddressArray of exactly argc + 1 entries
@@ -488,7 +588,7 @@ class Runtime:
         return array
 
     def _build_envp(self) -> mo.ManagedObject:
-        env = ["SULONG_SECRET=hunter2", "PATH=/usr/bin", "HOME=/root"]
+        env = self.ENVIRONMENT
         array = mo.AddressArrayObject(len(env) + 1, "envp")
         array.__class__ = mo.with_storage(mo.AddressArrayObject, "main-args")
         for i, entry in enumerate(env):

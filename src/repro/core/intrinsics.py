@@ -227,8 +227,7 @@ def _copy_memory(runtime, frame, args):
 @intrinsic("_Exit")
 def _exit(runtime, frame, args):
     status = args[0] if args else 0
-    raise ProgramExit(to_signed(status & 0xFFFFFFFF, 32)
-                      if isinstance(status, int) else 0)
+    raise ProgramExit(status if isinstance(status, int) else 0)
 
 
 @intrinsic("abort")
@@ -246,24 +245,19 @@ def _assert_fail(runtime, frame, args):
 
 
 # ---------------------------------------------------------------------------
-# Byte-level I/O ("system calls")
+# Byte-level I/O: the process's system calls (interpreter.Process) on
+# managed buffers
 # ---------------------------------------------------------------------------
+
+_MINUS_ONE = (1 << 64) - 1
+
 
 @intrinsic("__sulong_write")
 def _write(runtime, frame, args):
     fd, address, count = args
     fd = to_signed(fd, 32)
-    data = read_bytes(address, count)
-    if fd == 1:
-        runtime.stdout.extend(data)
-    elif fd == 2:
-        runtime.stderr.extend(data)
-    else:
-        handle = runtime.files.get(fd)
-        if handle is None or "w" not in handle["mode"]:
-            return -1 & 0xFFFFFFFFFFFFFFFF
-        handle["data"] += data
-        handle["pos"] = len(handle["data"])
+    if runtime.sys_write(fd, read_bytes(address, count)) < 0:
+        return _MINUS_ONE
     cap = runtime.max_output_bytes
     if cap is not None:
         total = len(runtime.stdout) + len(runtime.stderr)
@@ -279,18 +273,9 @@ def _write(runtime, frame, args):
 @intrinsic("__sulong_read")
 def _read(runtime, frame, args):
     fd, address, count = args
-    fd = to_signed(fd, 32)
-    if fd == 0:
-        available = runtime.stdin[runtime.stdin_pos:
-                                  runtime.stdin_pos + count]
-        runtime.stdin_pos += len(available)
-        data = bytes(available)
-    else:
-        handle = runtime.files.get(fd)
-        if handle is None:
-            return -1 & 0xFFFFFFFFFFFFFFFF
-        data = bytes(handle["data"][handle["pos"]:handle["pos"] + count])
-        handle["pos"] += len(data)
+    data = runtime.sys_read(to_signed(fd, 32), count)
+    if data is None:
+        return _MINUS_ONE
     if data:
         write_bytes(address, data)
     return len(data)
@@ -300,69 +285,24 @@ def _read(runtime, frame, args):
 def _open(runtime, frame, args):
     path = read_c_string(args[0]).decode("utf-8", "replace")
     mode = read_c_string(args[1]).decode("utf-8", "replace")
-    vfs = getattr(runtime, "vfs", None)
-    if vfs is None:
-        vfs = runtime.vfs = {}
-    if "r" in mode and path not in vfs:
-        return -1 & 0xFFFFFFFF
-    if "w" in mode:
-        vfs[path] = bytearray()
-    fd = runtime.next_fd
-    runtime.next_fd += 1
-    runtime.files[fd] = {
-        "path": path, "mode": mode,
-        "data": vfs.setdefault(path, bytearray()), "pos": 0,
-    }
-    return fd
+    return runtime.sys_open(path, mode) & 0xFFFFFFFF
 
 
 @intrinsic("__sulong_close")
 def _close(runtime, frame, args):
-    fd = to_signed(args[0], 32)
-    runtime.files.pop(fd, None)
-    return 0
-
-
-_SEEK_SET, _SEEK_CUR, _SEEK_END = 0, 1, 2
+    return runtime.sys_close(to_signed(args[0], 32))
 
 
 @intrinsic("__sulong_lseek")
 def _lseek(runtime, frame, args):
-    fd = to_signed(args[0], 32)
-    offset = to_signed(args[1], 64)
-    whence = to_signed(args[2], 32)
-    minus_one = (1 << 64) - 1
-    if fd == 0:
-        base = {_SEEK_SET: 0, _SEEK_CUR: runtime.stdin_pos,
-                _SEEK_END: len(runtime.stdin)}.get(whence)
-        if base is None:
-            return minus_one
-        position = base + offset
-        if position < 0:
-            return minus_one
-        runtime.stdin_pos = position
-        return position
-    handle = runtime.files.get(fd)
-    if handle is None:
-        return minus_one
-    base = {_SEEK_SET: 0, _SEEK_CUR: handle["pos"],
-            _SEEK_END: len(handle["data"])}.get(whence)
-    if base is None:
-        return minus_one
-    position = base + offset
-    if position < 0:
-        return minus_one
-    handle["pos"] = position
-    return position
+    return runtime.sys_lseek(to_signed(args[0], 32), to_signed(args[1], 64),
+                             to_signed(args[2], 32)) & _MINUS_ONE
 
 
 @intrinsic("__sulong_remove")
 def _remove(runtime, frame, args):
     path = read_c_string(args[0]).decode("utf-8", "replace")
-    if path in runtime.vfs:
-        del runtime.vfs[path]
-        return 0
-    return -1 & 0xFFFFFFFF
+    return runtime.sys_remove(path) & 0xFFFFFFFF
 
 
 # ---------------------------------------------------------------------------

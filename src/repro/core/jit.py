@@ -145,8 +145,7 @@ class _Emitter:
         # Speculative tier: each loop plan compiles to a guard at the
         # header plus raw-array accesses in the body; a failed guard
         # raises DeoptSignal before any side effect of the activation.
-        # Counting runs never speculate (profiling wants full checks),
-        # nor do use-after-scope hunts (exact lifetimes).
+        # Counting runs never speculate (profiling wants full checks).
         self.spec_plans: list = []
         # id(instruction) -> fast-site emission info / skip set.
         self.spec_sites: dict[int, tuple] = {}
@@ -154,8 +153,7 @@ class _Emitter:
         self.spec_guards: dict[int, tuple] = {}
         self.block_index_current = 0
         self.needs_prev = False
-        if (runtime.speculate and not self.counting
-                and not runtime.detect_use_after_scope):
+        if runtime.speculate and not self.counting:
             prepared.speculation = _speculation_state(prepared.function)
             self.spec_plans = prepared.speculation.plans
         for k, plan in enumerate(self.spec_plans):
@@ -714,7 +712,6 @@ def _compile_function(runtime, prepared: PreparedFunction) -> None:
         return
     prepared.compiled = namespace["__compiled__"]
     runtime.compiled_functions += 1
-    runtime.compile_log.append((runtime.steps, prepared.name))
     if obs is not None:
         obs.emit("jit-compile", function=prepared.name,
                  compile_ms=round(

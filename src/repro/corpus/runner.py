@@ -11,10 +11,8 @@ class MatrixResult:
     """Detection outcomes for the whole corpus × tool matrix."""
 
     def __init__(self, outcomes: dict[str, dict[str, bool]],
-                 results: dict[str, dict[str, ExecutionResult]],
                  metrics: dict | None = None):
         self.outcomes = outcomes  # program -> tool -> detected?
-        self.results = results
         # Aggregated observability snapshot over the safe-sulong cells
         # (None unless the matrix ran with collect_metrics).
         self.metrics = metrics
@@ -58,7 +56,6 @@ def run_entry(entry: CorpusEntry, runner: ToolRunner,
 def run_matrix(tools: dict[str, ToolRunner] | None = None,
                entries: list[CorpusEntry] | None = None,
                max_steps: int = 2_000_000,
-               keep_results: bool = False,
                jobs: int | None = None,
                timeout: float | None = None,
                collect_metrics: bool = False,
@@ -83,8 +80,8 @@ def run_matrix(tools: dict[str, ToolRunner] | None = None,
     entries = entries or ENTRIES
     if jobs:
         return _run_matrix_isolated(list(tools), entries, max_steps,
-                                    keep_results, jobs, timeout,
-                                    collect_metrics, cache_dir)
+                                    jobs, timeout, collect_metrics,
+                                    cache_dir)
     if cache_dir and "safe-sulong" in tools:
         from ..cache import resolve_cache
         tools = dict(tools)
@@ -96,37 +93,27 @@ def run_matrix(tools: dict[str, ToolRunner] | None = None,
         tools = dict(tools)
         tools["safe-sulong"].observer = observer
     outcomes: dict[str, dict[str, bool]] = {}
-    results: dict[str, dict[str, ExecutionResult]] = {}
     for entry in entries:
-        row: dict[str, bool] = {}
-        row_results: dict[str, ExecutionResult] = {}
-        for tool_name, runner in tools.items():
-            result = run_entry(entry, runner, max_steps=max_steps)
-            row[tool_name] = detected(result)
-            if keep_results:
-                row_results[entry.name] = result
-                row_results[tool_name] = result
-        outcomes[entry.name] = row
-        if keep_results:
-            results[entry.name] = row_results
+        outcomes[entry.name] = {
+            tool_name: detected(run_entry(entry, runner,
+                                          max_steps=max_steps))
+            for tool_name, runner in tools.items()}
     metrics = None
     if observer is not None:
         from ..obs.metrics import aggregate_metrics
         metrics = aggregate_metrics([observer.snapshot()])
         # One shared observer watched every entry in-process.
         metrics["programs_with_metrics"] = len(entries)
-    return MatrixResult(outcomes, results, metrics=metrics)
+    return MatrixResult(outcomes, metrics=metrics)
 
 
 def _run_matrix_isolated(tool_names: list[str],
                          entries: list[CorpusEntry], max_steps: int,
-                         keep_results: bool, jobs: int,
-                         timeout: float | None,
+                         jobs: int, timeout: float | None,
                          collect_metrics: bool = False,
                          cache_dir: str | None = None) -> MatrixResult:
     from ..harness.pool import WorkerPool, WorkTask
     from ..harness.quotas import DEFAULT_TIMEOUT
-    from ..harness.worker import deserialize_result
 
     options = {"cache_dir": cache_dir} if cache_dir else None
     tasks = []
@@ -147,24 +134,16 @@ def _run_matrix_isolated(tool_names: list[str],
     records = {record["id"]: record for record in pool.run(tasks)}
 
     outcomes: dict[str, dict[str, bool]] = {}
-    results: dict[str, dict[str, ExecutionResult]] = {}
     for entry in entries:
-        row: dict[str, bool] = {}
-        row_results: dict[str, ExecutionResult] = {}
+        outcomes[entry.name] = {}
         for tool_name in tool_names:
             record = records.get(f"{entry.name}::{tool_name}")
-            row[tool_name] = bool(record and record.get("detected"))
-            if keep_results and record and record.get("result"):
-                reconstructed = deserialize_result(record["result"])
-                row_results[entry.name] = reconstructed
-                row_results[tool_name] = reconstructed
-        outcomes[entry.name] = row
-        if keep_results:
-            results[entry.name] = row_results
+            outcomes[entry.name][tool_name] = bool(
+                record and record.get("detected"))
     metrics = None
     if collect_metrics:
         from ..obs.metrics import aggregate_metrics
         metrics = aggregate_metrics(
             [(record.get("result") or {}).get("metrics")
              for record in records.values()])
-    return MatrixResult(outcomes, results, metrics=metrics)
+    return MatrixResult(outcomes, metrics=metrics)

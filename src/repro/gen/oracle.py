@@ -241,7 +241,6 @@ def classify(manifest: dict, outcomes: dict[str, TierOutcome],
 class SweepSummary:
     count: int = 0
     verdicts: dict = field(default_factory=dict)
-    reports: list = field(default_factory=list)
     bugs: list = field(default_factory=list)
     asan_caught: int = 0
     asan_planted: int = 0
@@ -256,7 +255,6 @@ class SweepSummary:
                 self.asan_caught += 1
         if report.is_bug:
             self.bugs.append(report)
-        self.reports.append(report)
 
     @property
     def ok(self) -> bool:
@@ -276,11 +274,10 @@ class SweepSummary:
 def sweep(count: int, base_seed: int = 0,
           config: GenConfig | None = None, plant_mode: str = "mixed",
           cache_dir: str | None = None, tiers: dict | None = None,
-          on_report=None, keep_reports: bool = False) -> SweepSummary:
+          on_report=None) -> SweepSummary:
     """Generate ``count`` programs from consecutive seeds and run the
     oracle on each.  ``on_report`` (if given) sees every report as it
-    lands; the returned summary keeps only the bug reports unless
-    ``keep_reports``."""
+    lands; the returned summary keeps only the bug reports."""
     base_config = config or GenConfig()
     if tiers is None:
         tiers = make_tiers(cache_dir)
@@ -291,12 +288,8 @@ def sweep(count: int, base_seed: int = 0,
         report = run_oracle(program.source, program.manifest,
                             tiers=tiers, seed=seed)
         summary.add(report)
-        if not keep_reports and not report.is_bug:
-            summary.reports[-1] = None
         if on_report is not None:
             on_report(report)
-    if not keep_reports:
-        summary.reports = [r for r in summary.reports if r is not None]
     return summary
 
 

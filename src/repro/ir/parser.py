@@ -146,12 +146,6 @@ class ModuleParser:
                 return code
         return None
 
-    def _peek_line(self) -> str | None:
-        save = self.index
-        line = self._next_line()
-        self.index = save
-        return line
-
     # -- types ----------------------------------------------------------------
 
     def parse_type(self, tokens: _Tokens) -> ty.IRType:

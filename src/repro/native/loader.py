@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from .. import ir
 from ..cfront import compile_source
-from ..core.engine import ExecutionResult
-from ..core.errors import (InterpreterLimit, ProgramBug, ProgramCrash,
-                           ProgramExit)
+from ..core.engine import ExecutionResult, run_outcome
 from ..libc import include_dir
 from .machine import NativeMachine, Tool
 
 
 def compile_native(source: str, filename: str = "program.c",
                    opt_level: int = 0,
-                   skip_backend_folds: bool = False,
                    load_widening: bool = False) -> ir.Module:
     module = compile_source(source, filename=filename,
                             include_dirs=[include_dir()],
@@ -26,8 +23,7 @@ def compile_native(source: str, filename: str = "program.c",
     from ..opt import pipeline
     if opt_level >= 2:
         pipeline.run_o3(module, load_widening=load_widening)
-    if not skip_backend_folds:
-        pipeline.run_backend_folds(module)
+    pipeline.run_backend_folds(module)
     return module
 
 
@@ -37,24 +33,5 @@ def run_native(module: ir.Module, tool: Tool | None = None,
                max_steps: int | None = None,
                detector: str = "native") -> ExecutionResult:
     machine = NativeMachine(module, tool=tool, max_steps=max_steps)
-    if vfs:
-        machine.vfs = {path: bytearray(data) for path, data in vfs.items()}
-    try:
-        status = machine.run_main(argv=argv, stdin=stdin)
-    except ProgramBug as bug:
-        return ExecutionResult(detector, stdout=bytes(machine.stdout),
-                               stderr=bytes(machine.stderr),
-                               bugs=[bug.report(detector)],
-                               runtime=machine)
-    except ProgramCrash as crash:
-        return ExecutionResult(detector, stdout=bytes(machine.stdout),
-                               stderr=bytes(machine.stderr), crashed=True,
-                               crash_message=str(crash), runtime=machine)
-    except InterpreterLimit as limit:
-        return ExecutionResult(detector, stdout=bytes(machine.stdout),
-                               stderr=bytes(machine.stderr),
-                               limit_exceeded=True,
-                               crash_message=str(limit), runtime=machine)
-    return ExecutionResult(detector, status=status,
-                           stdout=bytes(machine.stdout),
-                           stderr=bytes(machine.stderr), runtime=machine)
+    machine.mount(vfs)
+    return run_outcome(detector, machine, argv, stdin)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from .. import ir
 from ..ir import instructions as inst
 from ..ir import types as irt
-from ..core.errors import ProgramBug, ProgramCrash, ProgramExit
-from ..core.interpreter import (Frame, PreparedFunction, Runtime,
+from ..core.errors import ProgramBug, ProgramCrash
+from ..core.interpreter import (Frame, PreparedFunction, Process,
                                 _NodeBuilder, prepare_body)
 from ..core.bits import to_signed
 from . import memory as layout
@@ -82,38 +82,23 @@ class _IntSpace:
         return value if value is not None else 0
 
 
-class NativeMachine:
+class NativeMachine(Process):
     """Executes an IR module under the native execution model."""
 
     def __init__(self, module: ir.Module, tool: Tool | None = None,
-                 builtins: dict | None = None,
                  max_steps: int | None = None):
         from .nativelibc import default_builtins
-        self.module = module
+        super().__init__(module, max_steps)
         self.memory = FlatMemory()
         self.allocator = BumpAllocator(self.memory)
         self.tool = tool or Tool()
-        self.max_steps = max_steps
-        self.steps = 0
         self.space = _IntSpace()
         self.sp = layout.STACK_TOP
-        self.prepared: dict[str, PreparedFunction] = {}
         self.global_addresses: dict[str, int] = {}
         self.global_sizes: dict[str, int] = {}
         self.function_addresses: dict[str, int] = {}
         self.functions_by_address: dict[int, ir.Function] = {}
-        self.stdout = bytearray()
-        self.stderr = bytearray()
-        self.stdin = bytearray()
-        self.stdin_pos = 0
-        self.files: dict[int, dict] = {}
-        self.vfs: dict[str, bytearray] = {}
-        self.next_fd = 3
-        self.current_site = None
-        self.current_loc = None
         self.current_frame: Frame | None = None
-        self._envp_address = layout.ARGV_BASE
-        self.argv_region = (layout.ARGV_BASE, layout.ARGV_BASE)
         # Bind access hooks only when the tool overrides them, so plain
         # and compile-time-instrumented execution pays no per-access call.
         tool_type = type(self.tool)
@@ -123,10 +108,7 @@ class NativeMachine:
             if tool_type.on_write is not Tool.on_write else None
         self._layout_functions()
         self._layout_globals()
-        base_builtins = default_builtins()
-        if builtins:
-            base_builtins.update(builtins)
-        self.builtins = self.tool.wrap_builtins(base_builtins)
+        self.builtins = self.tool.wrap_builtins(default_builtins())
         self.tool.on_startup(self)
         from .nativestdio import initialize_stdio
         initialize_stdio(self)
@@ -135,6 +117,7 @@ class NativeMachine:
         """Reset program data for a fresh run on the same machine (the
         benchmark harness's 'process re-exec' between iterations; the
         prepared code is reused)."""
+        super().reset()
         start = layout.GLOBALS_BASE
         self.memory.data[start:] = b"\x00" * (layout.MEMORY_SIZE - start)
         for name, gvar in self.module.globals.items():
@@ -143,11 +126,6 @@ class NativeMachine:
                                         gvar.initializer)
         self.allocator = BumpAllocator(self.memory)
         self.sp = layout.STACK_TOP
-        self.stdout.clear()
-        self.stderr.clear()
-        self.stdin_pos = 0
-        self.files.clear()
-        self.next_fd = 3
         self._strtok_state = 0
         if hasattr(self, "_interned"):
             self._interned.clear()
@@ -341,9 +319,6 @@ class NativeMachine:
             self.sp = saved_sp
             self.current_frame = saved_frame
 
-    # The interpreter's block loop: the same IR, on native frames.
-    _run_blocks = Runtime._run_blocks
-
     # -- stack allocation ---------------------------------------------------------
 
     def stack_alloc(self, size: int, align: int = 1) -> int:
@@ -357,53 +332,22 @@ class NativeMachine:
 
     # -- program entry -----------------------------------------------------------
 
-    def run_main(self, argv: list[str] | None = None,
-                 stdin: bytes = b"") -> int:
-        self.stdin = bytearray(stdin)
-        main = self.module.functions.get("main")
-        if main is None or not main.is_definition:
-            raise ir.LinkError("program has no main()")
-        argv = list(argv or ["program"])
-        argc = len(argv)
-        argv_address = self._write_argv(argv)
-        args = [argc, argv_address, self._envp_address]
-        nparams = len(main.ftype.params)
-        try:
-            status = self.call_function(main, args[:nparams])
-        except ProgramExit as exit_request:
-            return exit_request.status
-        if status is None:
-            return 0
-        return to_signed(status & 0xFFFFFFFF, 32)
-
-    def _write_argv(self, argv: list[str]) -> int:
+    def _main_args(self, argv: list[str], nparams: int) -> list:
         """Write argv[] then envp[] contiguously into the loader area.
         argv has no guard after its NULL terminator: argv[argc+k] reads
         straight into the environment strings."""
-        cursor = layout.ARGV_BASE + 16
-        pointers = []
-        env = ["SULONG_SECRET=hunter2", "PATH=/usr/bin", "HOME=/root"]
-        string_cursor = cursor + 8 * (len(argv) + 1 + len(env) + 1)
-        table = cursor
-        for arg in argv:
-            data = arg.encode() + b"\x00"
-            self.memory.store_bytes(string_cursor, data)
-            pointers.append(string_cursor)
-            string_cursor += len(data)
-        pointers.append(0)
-        env_pointers = []
-        for entry in env:
-            data = entry.encode() + b"\x00"
-            self.memory.store_bytes(string_cursor, data)
-            env_pointers.append(string_cursor)
-            string_cursor += len(data)
-        env_pointers.append(0)
-        all_pointers = pointers + env_pointers
-        for i, pointer in enumerate(all_pointers):
+        strings = [*argv, None, *self.ENVIRONMENT, None]
+        table = layout.ARGV_BASE + 16
+        cursor = table + 8 * len(strings)
+        for i, string in enumerate(strings):
+            pointer = 0
+            if string is not None:
+                data = string.encode() + b"\x00"
+                self.memory.store_bytes(cursor, data)
+                pointer = cursor
+                cursor += len(data)
             self.memory.store_int(table + 8 * i, 8, pointer)
-        self._envp_address = table + 8 * len(pointers)
-        self.argv_region = (layout.ARGV_BASE, string_cursor)
-        return table
+        return [len(argv), table, table + 8 * (len(argv) + 1)]
 
 
 # ---------------------------------------------------------------------------

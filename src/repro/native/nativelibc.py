@@ -155,8 +155,7 @@ def _free(machine, frame, args):
 @builtin("exit")
 @builtin("_Exit")
 def _exit(machine, frame, args):
-    status = args[0] if args else 0
-    raise ProgramExit(to_signed(status & 0xFFFFFFFF, 32))
+    raise ProgramExit(args[0] if args else 0)
 
 
 @builtin("abort")

@@ -9,7 +9,7 @@ in reality, §2.1).
 from __future__ import annotations
 
 from ..core.bits import to_signed
-from . import memory as layout
+from ..core.interpreter import SEEK_CUR, SEEK_SET
 from .nativelibc import (_VaReader, _setup_va, builtin, read_cstring)
 
 # FILE layout on the native heap: fd(i32), ungot+1(i32), eof(i32), err(i32)
@@ -35,45 +35,16 @@ def _stream_fd(machine, stream: int) -> int:
     return to_signed(machine.mem_read_int(stream, 4, machine.current_loc), 32)
 
 
-def _fd_write(machine, fd: int, data: bytes) -> int:
-    if fd == 1:
-        machine.stdout.extend(data)
-    elif fd == 2:
-        machine.stderr.extend(data)
-    else:
-        handle = machine.files.get(fd)
-        if handle is None or "w" not in handle["mode"]:
-            return -1
-        handle["data"] += data
-        handle["pos"] = len(handle["data"])
-    return len(data)
-
-
-def _fd_read_byte(machine, fd: int) -> int:
-    if fd == 0:
-        if machine.stdin_pos >= len(machine.stdin):
-            return -1
-        byte = machine.stdin[machine.stdin_pos]
-        machine.stdin_pos += 1
-        return byte
-    handle = machine.files.get(fd)
-    if handle is None or handle["pos"] >= len(handle["data"]):
-        return -1
-    byte = handle["data"][handle["pos"]]
-    handle["pos"] += 1
-    return byte
-
-
 def _stream_getc(machine, stream: int) -> int:
     ungot = machine.mem_read_int(stream + 4, 4, machine.current_loc)
     if ungot:
         machine.mem_write_int(stream + 4, 4, 0, machine.current_loc)
         return (ungot - 1) & 0xFF
-    byte = _fd_read_byte(machine, _stream_fd(machine, stream))
-    if byte < 0:
+    data = machine.sys_read(_stream_fd(machine, stream), 1)
+    if not data:
         machine.mem_write_int(stream + 8, 4, 1, machine.current_loc)  # eof
         return -1
-    return byte
+    return data[0]
 
 
 def _stream_ungetc(machine, stream: int, c: int) -> int:
@@ -91,7 +62,7 @@ def _stream_ungetc(machine, stream: int, c: int) -> int:
 @builtin("fputc")
 def _fputc(machine, frame, args):
     c, stream = args
-    _fd_write(machine, _stream_fd(machine, stream), bytes([c & 0xFF]))
+    machine.sys_write(_stream_fd(machine, stream), bytes([c & 0xFF]))
     return c & 0xFF
 
 
@@ -102,21 +73,21 @@ def _putc(machine, frame, args):
 
 @builtin("putchar")
 def _putchar(machine, frame, args):
-    machine.stdout.append(args[0] & 0xFF)
+    machine.sys_write(1, bytes([args[0] & 0xFF]))
     return args[0] & 0xFF
 
 
 @builtin("fputs")
 def _fputs(machine, frame, args):
     text = read_cstring(machine, args[0], machine.current_loc)
-    _fd_write(machine, _stream_fd(machine, args[1]), text)
+    machine.sys_write(_stream_fd(machine, args[1]), text)
     return 0
 
 
 @builtin("puts")
 def _puts(machine, frame, args):
     text = read_cstring(machine, args[0], machine.current_loc)
-    machine.stdout.extend(text + b"\n")
+    machine.sys_write(1, text + b"\n")
     return 0
 
 
@@ -192,15 +163,9 @@ def _fopen(machine, frame, args):
                         machine.current_loc).decode("utf-8", "replace")
     mode = read_cstring(machine, args[1],
                         machine.current_loc).decode("utf-8", "replace")
-    if "r" in mode and path not in machine.vfs:
+    fd = machine.sys_open(path, mode)
+    if fd < 0:
         return 0
-    if "w" in mode:
-        machine.vfs[path] = bytearray()
-    fd = machine.next_fd
-    machine.next_fd += 1
-    machine.files[fd] = {"path": path, "mode": mode,
-                         "data": machine.vfs.setdefault(path, bytearray()),
-                         "pos": 0}
     address = machine.allocator.malloc(_FILE_SIZE)
     machine.tool.on_malloc(machine, address, _FILE_SIZE, zeroed=True)
     machine.memory.store_bytes(address, b"\x00" * _FILE_SIZE)
@@ -211,7 +176,7 @@ def _fopen(machine, frame, args):
 @builtin("fclose")
 def _fclose(machine, frame, args):
     fd = _stream_fd(machine, args[0])
-    machine.files.pop(fd, None)
+    machine.sys_close(fd)
     if fd > 2:
         machine.tool.on_free(machine, args[0], machine.current_loc)
         machine.allocator.free(args[0])
@@ -253,7 +218,7 @@ def _fwrite(machine, frame, args):
     buffer, size, count, stream = args
     total = size * count
     data = machine.mem_read_bytes(buffer, total, machine.current_loc)
-    written = _fd_write(machine, _stream_fd(machine, stream), data)
+    written = machine.sys_write(_stream_fd(machine, stream), data)
     if written < 0:
         return 0
     return written // size if size else 0
@@ -262,9 +227,9 @@ def _fwrite(machine, frame, args):
 @builtin("perror")
 def _perror(machine, frame, args):
     if args[0]:
-        machine.stderr.extend(
-            read_cstring(machine, args[0], machine.current_loc) + b": ")
-    machine.stderr.extend(b"error\n")
+        machine.sys_write(
+            2, read_cstring(machine, args[0], machine.current_loc) + b": ")
+    machine.sys_write(2, b"error\n")
     return None
 
 
@@ -390,14 +355,14 @@ def _printf_common(machine, fmt_ptr: int, extra: list,
 @builtin("printf")
 def _printf(machine, frame, args):
     data = _printf_common(machine, args[0], args[1:])
-    machine.stdout.extend(data)
+    machine.sys_write(1, data)
     return len(data)
 
 
 @builtin("fprintf")
 def _fprintf(machine, frame, args):
     data = _printf_common(machine, args[1], args[2:])
-    _fd_write(machine, _stream_fd(machine, args[0]), data)
+    machine.sys_write(_stream_fd(machine, args[0]), data)
     return len(data)
 
 
@@ -405,7 +370,7 @@ def _fprintf(machine, frame, args):
 def _vfprintf(machine, frame, args):
     stream, fmt_ptr, ap = args
     data = _printf_common(machine, fmt_ptr, [], va_base=ap)
-    _fd_write(machine, _stream_fd(machine, stream), data)
+    machine.sys_write(_stream_fd(machine, stream), data)
     return len(data)
 
 
@@ -616,34 +581,12 @@ def _sscanf(machine, frame, args):
 # stream positioning
 # ---------------------------------------------------------------------------
 
-_SEEK_SET, _SEEK_CUR, _SEEK_END = 0, 1, 2
-
-
-def _fd_seek(machine, fd: int, offset: int, whence: int) -> int:
-    if fd == 0:
-        base = {_SEEK_SET: 0, _SEEK_CUR: machine.stdin_pos,
-                _SEEK_END: len(machine.stdin)}.get(whence)
-        if base is None or base + offset < 0:
-            return -1
-        machine.stdin_pos = base + offset
-        return machine.stdin_pos
-    handle = machine.files.get(fd)
-    if handle is None:
-        return -1
-    base = {_SEEK_SET: 0, _SEEK_CUR: handle["pos"],
-            _SEEK_END: len(handle["data"])}.get(whence)
-    if base is None or base + offset < 0:
-        return -1
-    handle["pos"] = base + offset
-    return handle["pos"]
-
-
 @builtin("fseek")
 def _fseek(machine, frame, args):
     stream, offset, whence = args
     fd = _stream_fd(machine, stream)
-    if _fd_seek(machine, fd, to_signed(offset, 64),
-                to_signed(whence, 32)) < 0:
+    if machine.sys_lseek(fd, to_signed(offset, 64),
+                         to_signed(whence, 32)) < 0:
         return 0xFFFFFFFF  # -1
     machine.mem_write_int(stream + 4, 4, 0, machine.current_loc)  # ungot
     machine.mem_write_int(stream + 8, 4, 0, machine.current_loc)  # eof
@@ -654,7 +597,7 @@ def _fseek(machine, frame, args):
 def _ftell(machine, frame, args):
     stream = args[0]
     fd = _stream_fd(machine, stream)
-    position = _fd_seek(machine, fd, 0, _SEEK_CUR)
+    position = machine.sys_lseek(fd, 0, SEEK_CUR)
     if position >= 0 and machine.mem_read_int(stream + 4, 4,
                                               machine.current_loc):
         position -= 1  # account for a pushed-back character
@@ -664,7 +607,7 @@ def _ftell(machine, frame, args):
 @builtin("rewind")
 def _rewind(machine, frame, args):
     stream = args[0]
-    _fd_seek(machine, _stream_fd(machine, stream), 0, _SEEK_SET)
+    machine.sys_lseek(_stream_fd(machine, stream), 0, SEEK_SET)
     machine.mem_write_int(stream + 4, 4, 0, machine.current_loc)
     machine.mem_write_int(stream + 8, 4, 0, machine.current_loc)
     machine.mem_write_int(stream + 12, 4, 0, machine.current_loc)
@@ -675,7 +618,4 @@ def _rewind(machine, frame, args):
 def _remove(machine, frame, args):
     path = read_cstring(machine, args[0],
                         machine.current_loc).decode("utf-8", "replace")
-    if path in machine.vfs:
-        del machine.vfs[path]
-        return 0
-    return 0xFFFFFFFF
+    return machine.sys_remove(path) & 0xFFFFFFFF

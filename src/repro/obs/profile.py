@@ -30,8 +30,6 @@ def profile_source(source: str, config=None, *,
     from ..core.engine import SafeSulong
     config = config or EngineConfig(jit_threshold=DEFAULT_JIT_THRESHOLD)
     config = config._replace(**options)
-    if lines:
-        config = config._replace(jit_threshold=None)
     observer = Observer(enabled=True, trace_path=trace_path, lines=lines)
     engine = SafeSulong(config, max_steps=max_steps, observer=observer,
                         cache=cache)

@@ -42,22 +42,18 @@ class AsanTool(Tool):
 
     name = "asan"
 
-    REDZONE = 16
+    GLOBAL_REDZONE_SIZE = 16
     STACK_REDZONE_SIZE = 16
 
     def __init__(self, fno_common: bool = False,
                  intercept_strtok: bool = False,
                  quarantine_bytes: int = 1 << 18,
-                 redzone: int = 16,
-                 global_redzone: int = 16,
-                 instrumented_globals: list[str] | None = None):
+                 redzone: int = 16):
         self.shadow = sh.ShadowMemory()
         self.fno_common = fno_common
         self.intercept_strtok = intercept_strtok
         self.quarantine_bytes = quarantine_bytes
         self.redzone = redzone
-        self.global_redzone = global_redzone
-        self.instrumented_globals = instrumented_globals
         self.quarantine: deque[tuple[int, int]] = deque()
         self.quarantine_used = 0
         self.allocated: dict[int, int] = {}  # address -> user size
@@ -65,22 +61,17 @@ class AsanTool(Tool):
     # -- startup: poison global redzones ------------------------------------
 
     def on_startup(self, machine) -> None:
-        names = self.instrumented_globals
+        rz = self.GLOBAL_REDZONE_SIZE
         for name, address in machine.global_addresses.items():
             gvar = machine.module.globals.get(name)
             if gvar is None:
-                continue
-            if names is not None and name not in names:
                 continue
             if gvar.zero_initialized and not self.fno_common:
                 # Common symbols are not instrumented by default.
                 continue
             size = machine.global_sizes[name]
-            self.shadow.poison(address + size, self.global_redzone,
-                               sh.GLOBAL_REDZONE)
-            self.shadow.poison(address - min(self.global_redzone, 16),
-                               min(self.global_redzone, 16),
-                               sh.GLOBAL_REDZONE)
+            self.shadow.poison(address + size, rz, sh.GLOBAL_REDZONE)
+            self.shadow.poison(address - rz, rz, sh.GLOBAL_REDZONE)
 
     def reset(self, machine) -> None:
         self.shadow.reset()

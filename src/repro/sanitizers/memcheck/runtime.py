@@ -35,14 +35,13 @@ class MemcheckTool(Tool):
     name = "memcheck"
 
     REDZONE = 16
+    QUARANTINE_BLOCKS = 1024
 
-    def __init__(self, quarantine_blocks: int = 1024,
-                 track_uninitialized: bool = True):
+    def __init__(self, track_uninitialized: bool = True):
         self.reports: list[BugReport] = []
         self._reported: set = set()
         self.track_uninitialized = track_uninitialized
         self.quarantine: deque[int] = deque()
-        self.quarantine_blocks = quarantine_blocks
         self.allocated: dict[int, int] = {}
         self.freed: dict[int, int] = {}
         # A-bits for the heap region only.
@@ -227,7 +226,7 @@ class MemcheckTool(Tool):
         self.heap_a[base:base + size] = b"\x00" * size
         self.freed[address] = size
         self.quarantine.append(address)
-        while len(self.quarantine) > self.quarantine_blocks:
+        while len(self.quarantine) > self.QUARANTINE_BLOCKS:
             old = self.quarantine.popleft()
             old_size = self.freed.pop(old, 0)
             machine.allocator.free(old - self.REDZONE)

@@ -49,6 +49,11 @@ from .queue import JobQueue
 DEFAULT_MAX_DEPTH = 256
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN = 10.0
+# After a failed batch, the loop waits 0.25 s, doubling per consecutive
+# failure up to 30 s; an idle loop polls the queue every 0.2 s.
+RESTART_BACKOFF = 0.25
+RESTART_BACKOFF_MAX = 30.0
+IDLE_SLEEP = 0.2
 
 
 class Supervisor:
@@ -64,8 +69,6 @@ class Supervisor:
                  lease_ttl: float | None = None,
                  breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
                  breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-                 restart_backoff: float = 0.25,
-                 restart_backoff_max: float = 30.0,
                  cache_cap_bytes: int | None = None,
                  observer: Observer | None = None,
                  fault_plan: faults.FaultPlan | None = None):
@@ -101,8 +104,6 @@ class Supervisor:
             if lease_ttl is not None else max(15.0, 2.0 * self.timeout)
         self.breaker_threshold = max(1, breaker_threshold)
         self.breaker_cooldown = breaker_cooldown
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_max = restart_backoff_max
         self.cache_cap_bytes = cache_cap_bytes
         self.observer = observer or Observer(enabled=True)
         self.fault_plan = fault_plan
@@ -242,7 +243,7 @@ class Supervisor:
         self._consecutive_failures += 1
         self.last_error = f"{type(error).__name__}: {error}"
         self.observer.count("service.restart")
-        delay = min(self.restart_backoff_max, self.restart_backoff
+        delay = min(RESTART_BACKOFF_MAX, RESTART_BACKOFF
                     * (2 ** (self._consecutive_failures - 1)))
         self._restart_not_before = time.time() + delay
         self.observer.emit("service-restart", error=self.last_error,
@@ -263,6 +264,7 @@ class Supervisor:
         fresh (not a redelivery replay)."""
         task_id = record["id"]
         seq = self._seq_by_id.get(task_id, 0)
+        from ..tools import engine_version
         task = self.queue.tasks.get(task_id) or {}
         program = task.get("filename") or task.get("path") or task_id
         bugs = (record.get("result") or {}).get("bugs") or []
@@ -306,8 +308,7 @@ class Supervisor:
 
     # -- service loop -------------------------------------------------------------
 
-    def run_forever(self, stop: threading.Event,
-                    idle_sleep: float = 0.2) -> None:
+    def run_forever(self, stop: threading.Event) -> None:
         while not stop.is_set():
             try:
                 completed = self.step()
@@ -315,11 +316,12 @@ class Supervisor:
                 self._on_batch_failure(error)
                 completed = 0
             if not completed:
-                stop.wait(idle_sleep)
+                stop.wait(IDLE_SLEEP)
 
     # -- views --------------------------------------------------------------------
 
     def health(self, now: float | None = None) -> dict:
+        from ..tools import engine_version
         now = time.time() if now is None else now
         counts = self.queue.counts()
         depth = counts["queued"] + counts["leased"]
@@ -354,10 +356,3 @@ class Supervisor:
                       "recorded_tasks": len(self.bugdb.recorded)},
             "counters": counters,
         }
-
-
-def engine_version() -> str:
-    """The version string regression tracking keys on (re-exported via
-    :mod:`repro.tools`)."""
-    from ..tools import engine_version as tools_engine_version
-    return tools_engine_version()

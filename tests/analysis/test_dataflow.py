@@ -1,9 +1,7 @@
 """The generic worklist solver: convergence (with widening on domains
-of infinite ascending chains), constant-edge pruning, and the backward
-direction via liveness."""
+of infinite ascending chains) and constant-edge pruning."""
 
-from repro.analysis import (ControlFlowGraph, IntervalAnalysis,
-                            LivenessAnalysis)
+from repro.analysis import IntervalAnalysis
 from repro.cfront import compile_source
 from repro.ir import instructions as inst
 from repro.opt import mem2reg
@@ -75,47 +73,3 @@ class TestEdgePruning:
         interval = analysis.value_interval(ret.value)
         # With the dead assignment pruned, the result is exactly 1.
         assert interval.lo == 1 and interval.hi == 1
-
-
-class TestBackward:
-    def test_liveness_across_blocks(self):
-        function = function_for("""
-            int f(int c) {
-                int a = c * 3;
-                if (c) return a;
-                return 0;
-            }
-        """)
-        mul = next(i for i in function.instructions()
-                   if isinstance(i, inst.BinOp) and i.op == "mul")
-        liveness = LivenessAnalysis(function).run()
-        cfg = liveness.cfg
-        # The product is live out of its defining block...
-        assert liveness.is_live_out(mul.result, cfg.entry)
-        # ...live into the block that returns it, and dead in the other.
-        # Phi uses are *edge* uses (counted in the predecessor's
-        # live-out, not the successor's live-in), so skip them here.
-        uses_it = [block for block in function.blocks
-                   if any(i is not mul and
-                          not isinstance(i, inst.Phi) and
-                          mul.result in list(i.operands())
-                          for i in block.instructions)]
-        assert uses_it
-        for block in uses_it:
-            assert id(mul.result) in liveness.live_in(block)
-        dead_arms = [block for block in cfg.reverse_postorder
-                     if block not in uses_it and block is not cfg.entry]
-        for block in dead_arms:
-            assert id(mul.result) not in liveness.live_in(block)
-
-    def test_dead_value_not_live(self):
-        function = function_for("""
-            int f(int c) {
-                int unused = c + 1;
-                return 5;
-            }
-        """)
-        add = next(i for i in function.instructions()
-                   if isinstance(i, inst.BinOp) and i.op == "add")
-        liveness = LivenessAnalysis(function).run()
-        assert not liveness.is_live_out(add.result, liveness.cfg.entry)

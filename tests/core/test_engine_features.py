@@ -181,6 +181,28 @@ class TestUseAfterScope:
         assert result.bugs[0].kind in (BugKind.USE_AFTER_SCOPE,
                                        BugKind.USE_AFTER_FREE)
 
+    # f compiles at its second call when the JIT is on; the escaped
+    # local of its last call is read after that call returned.
+    ESCAPE_IN_LOOP = """
+        int *f(int v) { int x = v; return &x; }
+        int main(void) {
+            int *p = 0;
+            for (int i = 0; i < 5; i++) p = f(i);
+            return *p;
+        }
+    """
+
+    @pytest.mark.parametrize("options", [
+        {}, {"jit_threshold": 2}, {"jit_threshold": 2, "speculate": True},
+    ], ids=["interpreter", "jit", "speculate"])
+    def test_detected_on_every_tier(self, options):
+        result = SafeSulong(detect_use_after_scope=True,
+                            **options).run_source(self.ESCAPE_IN_LOOP)
+        assert [str(bug) for bug in result.bugs] == [
+            "use-after-scope read of stack object at program.c:6:21: "
+            "read of x after its scope ended"]
+        assert result.runtime.compiled_functions == 0
+
     def test_gc_semantics_by_default(self, engine):
         # The paper's Safe Sulong keeps escaped stack objects alive (GC
         # semantics) — no use-after-scope report by default.

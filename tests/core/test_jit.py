@@ -7,6 +7,7 @@ from repro.bench.harness import PROGRAMS as SHOOTOUT
 from repro.bench.harness import program_source
 from repro.core import SafeSulong
 from repro.core.errors import BugKind
+from repro.obs.observer import Observer
 
 PROGRAMS = {
     "arith": ("""
@@ -173,8 +174,9 @@ class TestBackgroundCompilerModel:
         assert runtime.compile_queue
 
     def test_compile_log_records_events(self):
-        engine = SafeSulong(jit_threshold=1)
-        result = engine.run_source("""
+        observer = Observer()
+        engine = SafeSulong(jit_threshold=1, observer=observer)
+        engine.run_source("""
             int a(int x) { return x + 1; }
             int b(int x) { return a(x) * 2; }
             int main(void) {
@@ -183,7 +185,8 @@ class TestBackgroundCompilerModel:
                 return n;
             }
         """)
-        names = [name for _, name in result.runtime.compile_log]
+        names = [event["function"] for event in observer.events
+                 if event["event"] == "jit-compile"]
         assert "a" in names and "b" in names
 
 

@@ -13,8 +13,59 @@ def both(engine, source, stdin=b"", vfs=None):
     assert not managed.crashed, managed.crash_message
     assert managed.stdout == native.stdout, (managed.stdout,
                                              native.stdout)
+    assert managed.stderr == native.stderr, (managed.stderr,
+                                             native.stderr)
     assert managed.status == native.status
     return managed
+
+
+class TestProcess:
+    """What the process gives a program, the same under both memory
+    models: stdin, the environment, and the exit status."""
+
+    def test_stdin_reads(self, engine):
+        result = both(engine, r"""
+            #include <stdio.h>
+            int main(void) {
+                char line[16];
+                int n = 0, c;
+                fgets(line, sizeof line, stdin);
+                scanf("%d", &n);
+                fprintf(stderr, "n=%d\n", n);
+                while ((c = getchar()) != EOF)
+                    putchar(c == '\n' ? '|' : c);
+                printf(" %s", line);
+                return 0;
+            }
+        """, stdin=b"first\n42\nrest\n")
+        assert result.stdout == b"|rest| first\n"
+        assert result.stderr == b"n=42\n"
+
+    def test_envp(self, engine):
+        result = both(engine, r"""
+            #include <stdio.h>
+            int main(int argc, char **argv, char **envp) {
+                int i = 0;
+                while (envp[i]) puts(envp[i++]);
+                fprintf(stderr, "%d\n", i);
+                return argc;
+            }
+        """)
+        assert result.stdout.startswith(b"SULONG_SECRET=")
+        assert result.stderr == b"3\n"
+
+    @pytest.mark.parametrize("exit_with", ["return -3;", "exit(-3);"])
+    def test_negative_exit_status(self, engine, exit_with):
+        result = both(engine, r"""
+            #include <stdio.h>
+            #include <stdlib.h>
+            int main(void) {
+                fputs("bye\n", stderr);
+                %s
+            }
+        """ % exit_with)
+        assert result.status == -3
+        assert result.stderr == b"bye\n"
 
 
 class TestSeekTell:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.native import NativeMachine, Segfault, compile_native, run_native
 from repro.native import memory as layout
+from repro.native.machine import Tool
 
 
 def native(source, **kwargs):
@@ -169,6 +170,33 @@ class TestMachineInternals:
             }
         """)
         assert result.status == 1
+
+
+class _Failing(Tool):
+    """Raises ``error`` at the program's first store, as a host fault
+    inside the tool would."""
+
+    def __init__(self, error: BaseException):
+        self.error = error
+
+    def on_write(self, machine, address, size, loc):
+        raise self.error
+
+
+class TestRunOutcome:
+    """A native run ends the way a managed run does (engine.run_outcome)."""
+
+    SOURCE = "int main(void) { int x = 1; return x; }"
+
+    def test_host_memory_exhaustion_is_a_limit(self):
+        result = native(self.SOURCE, tool=_Failing(MemoryError("simulated")))
+        assert result.limit_exceeded
+        assert result.crash_message == "host memory exhausted: simulated"
+
+    def test_tool_recursion_is_an_internal_error(self):
+        result = native(self.SOURCE, tool=_Failing(RecursionError("deep")))
+        assert result.internal_error == \
+            "RecursionError escaped to the engine boundary: deep"
 
 
 class TestDifferentialWithManaged:

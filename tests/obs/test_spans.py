@@ -79,6 +79,16 @@ class TestChromeTraceSchema:
         assert {"preprocess", "parse", "typecheck", "irgen", "link",
                 "prepare", "execute"} <= names
 
+    def test_native_run_emits_execute(self):
+        # engine.run_outcome starts main for both executors.
+        from repro.native import compile_native, run_native
+        module = compile_native("int main(void){ return 0; }")
+        recorder = SpanRecorder()
+        set_recorder(recorder)
+        run_native(module)
+        [event] = recorder.snapshot()
+        assert event["name"] == "execute"
+
     def test_libc_load_is_not_timed_as_link(self, monkeypatch):
         from repro.core import SafeSulong
         from repro.libc import loader
