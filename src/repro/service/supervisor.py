@@ -262,9 +262,9 @@ class Supervisor:
         """Record one pool completion durably: bug database first, then
         the queue's done mark.  Returns True when this completion was
         fresh (not a redelivery replay)."""
+        from ..tools import engine_version
         task_id = record["id"]
         seq = self._seq_by_id.get(task_id, 0)
-        from ..tools import engine_version
         task = self.queue.tasks.get(task_id) or {}
         program = task.get("filename") or task.get("path") or task_id
         bugs = (record.get("result") or {}).get("bugs") or []
